@@ -7,10 +7,10 @@ package psgc
 // words), the fuel left, the collection count, the attached profiler's
 // aggregate, and the identity metadata a fleet needs to route it (source
 // hash, trace ID). Checkpoints serialize through internal/checkpoint's
-// versioned self-validating wire format and restore onto *any* backend —
-// a run captured on the arena resumes on the map store and vice versa,
-// with bit-identical results and counters, because the heap image is the
-// backend-neutral canonical form both stores round-trip through.
+// versioned self-validating wire format and resume in any process — a
+// run captured on one fleet node resumes on another with bit-identical
+// results and counters, because the heap image is a canonical form the
+// store round-trips through.
 //
 // Decoding is re-certification, not trust: the collector prefix of the
 // carried program must match this process's own verified collector
@@ -28,7 +28,6 @@ import (
 	"psgc/internal/checkpoint"
 	"psgc/internal/gclang"
 	"psgc/internal/obs"
-	"psgc/internal/regions"
 )
 
 // ErrCheckpointed is returned (wrapped) by Run when the run stopped at a
@@ -63,16 +62,14 @@ type CheckpointMeta struct {
 
 // Checkpoint is a paused run. Capture one with RunOptions.Checkpointer or
 // RunOptions.CheckpointEvery; serialize with Encode; rebuild from a blob
-// with DecodeCheckpoint; continue it — on any backend — with Resume.
+// with DecodeCheckpoint; continue it — in this process or another — with
+// Resume.
 type Checkpoint struct {
 	// SourceHash and TraceID are the CheckpointMeta of the captured run.
 	SourceHash string
 	TraceID    string
-	// Collector and Engine the run was using; Backend it was captured on.
-	// Resume keeps the engine but honors its own RunOptions.Backend, which
-	// is what makes cross-backend migration a one-liner.
+	// Collector and Engine the run was using. Resume keeps both.
 	Collector Collector
-	Backend   regions.Backend
 	Engine    Engine
 	// Steps taken, collections counted, and fuel left when captured.
 	Steps         int
@@ -95,7 +92,6 @@ func (ck *Checkpoint) Encode() ([]byte, error) {
 	return checkpoint.Encode(&checkpoint.Snapshot{
 		SourceHash:    ck.SourceHash,
 		Collector:     ck.Collector.String(),
-		Backend:       ck.Backend.String(),
 		Engine:        ck.Engine.String(),
 		TraceID:       ck.TraceID,
 		Collections:   ck.Collections,
@@ -120,10 +116,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		return nil, err
 	}
 	col, err := ParseCollector(s.Collector)
-	if err != nil {
-		return nil, fmt.Errorf("psgc: decode checkpoint: %w", err)
-	}
-	be, err := regions.ParseBackend(s.Backend)
 	if err != nil {
 		return nil, fmt.Errorf("psgc: decode checkpoint: %w", err)
 	}
@@ -161,7 +153,6 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 		SourceHash:    s.SourceHash,
 		TraceID:       s.TraceID,
 		Collector:     col,
-		Backend:       be,
 		Engine:        eng,
 		Steps:         s.Machine.Steps,
 		Collections:   s.Collections,
@@ -175,9 +166,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 // Resume continues the checkpointed run under opts. The engine comes from
 // the checkpoint (an env image resumes on the environment machine, a
 // subst image on the substitution machine; opts.Engine is ignored), and
-// heap capacity and growth policy come from the heap image, but the
-// backend is opts.Backend — resuming an arena checkpoint with
-// Backend: regions.BackendMap is cross-backend migration. With opts.Fuel
+// heap capacity and growth policy come from the heap image. With opts.Fuel
 // zero the run inherits the checkpoint's remaining fuel, so an
 // interrupted budget stays a budget. CoCheck on an env checkpoint rebuilds
 // the substitution oracle from the same image (gclang.RestoreOracle), so
@@ -227,12 +216,11 @@ func (cp *Checkpointer) deliver(ck *Checkpoint) {
 
 // newCheckpoint assembles a Checkpoint around a freshly captured machine
 // image.
-func (c *Compiled) newCheckpoint(img gclang.MachineImage, be regions.Backend, eng Engine, opts *RunOptions, collections, fuelLeft int) *Checkpoint {
+func (c *Compiled) newCheckpoint(img gclang.MachineImage, eng Engine, opts *RunOptions, collections, fuelLeft int) *Checkpoint {
 	ck := &Checkpoint{
 		SourceHash:    opts.CheckpointMeta.SourceHash,
 		TraceID:       opts.CheckpointMeta.TraceID,
 		Collector:     c.Collector,
-		Backend:       be,
 		Engine:        eng,
 		Steps:         img.Steps,
 		Collections:   collections,
@@ -252,7 +240,7 @@ func (c *Compiled) captureEnv(m *gclang.EnvMachine, opts *RunOptions, collection
 	if err != nil {
 		return nil, fmt.Errorf("psgc: checkpoint: %w", err)
 	}
-	return c.newCheckpoint(img, m.Mem.Backend(), EngineEnv, opts, collections, fuelLeft), nil
+	return c.newCheckpoint(img, EngineEnv, opts, collections, fuelLeft), nil
 }
 
 func (c *Compiled) captureSubst(m *gclang.Machine, opts *RunOptions, collections, fuelLeft int) (*Checkpoint, error) {
@@ -260,7 +248,7 @@ func (c *Compiled) captureSubst(m *gclang.Machine, opts *RunOptions, collections
 	if err != nil {
 		return nil, fmt.Errorf("psgc: checkpoint: %w", err)
 	}
-	return c.newCheckpoint(img, m.Mem.Backend(), EngineSubst, opts, collections, fuelLeft), nil
+	return c.newCheckpoint(img, EngineSubst, opts, collections, fuelLeft), nil
 }
 
 // restoreProfiler replays the checkpoint's profiler aggregate into the

@@ -3,6 +3,7 @@ package psgc
 import (
 	"errors"
 	"fmt"
+	"os"
 	"reflect"
 	"testing"
 
@@ -33,23 +34,16 @@ func checkpointAt(t *testing.T, c *Compiled, opts RunOptions, cut int) *Checkpoi
 	return ck
 }
 
-// TestCheckpointResumeCrossBackend is the acceptance differential: a run
-// killed mid-execution and resumed on the *other* backend — arena→map and
-// map→arena, across a collector×capacity grid, through the full wire
-// round trip — must produce a bit-identical Result (value, steps,
-// collections, every Stats counter, live cells) to the uninterrupted run.
-func TestCheckpointResumeCrossBackend(t *testing.T) {
+// TestCheckpointResumeSameStore is the acceptance differential: a run
+// killed mid-execution and resumed from its blob — across a
+// collector×capacity grid, through the full wire round trip — must
+// produce a bit-identical Result (value, steps, collections, every Stats
+// counter, live cells) to the uninterrupted run.
+func TestCheckpointResumeSameStore(t *testing.T) {
 	src := workload.AllocHeavySrc(40)
 	caps := []int{24, 48}
 	if testing.Short() {
 		caps = []int{32}
-	}
-	dirs := []struct {
-		name     string
-		from, to regions.Backend
-	}{
-		{"arena_to_map", regions.BackendArena, regions.BackendMap},
-		{"map_to_arena", regions.BackendMap, regions.BackendArena},
 	}
 	for _, col := range allCollectors {
 		c, err := Compile(src, col)
@@ -64,49 +58,90 @@ func TestCheckpointResumeCrossBackend(t *testing.T) {
 			if ref.Collections == 0 {
 				t.Fatalf("%v/cap%d: reference run never collected", col, capac)
 			}
-			for _, dir := range dirs {
-				dir := dir
-				t.Run(fmt.Sprintf("%v/cap%d/%s", col, capac, dir.name), func(t *testing.T) {
-					ck := checkpointAt(t, c, RunOptions{
-						Capacity:       capac,
-						Backend:        dir.from,
-						CheckpointMeta: CheckpointMeta{SourceHash: "h1", TraceID: "mig-1"},
-					}, ref.Steps/2)
-					if ck.Backend != dir.from || ck.Engine != EngineEnv || ck.Collector != col {
-						t.Fatalf("checkpoint identity wrong: %+v", ck)
-					}
-					// Through the wire: encode, decode (full re-certification),
-					// then resume on the other backend.
-					blob, err := ck.Encode()
-					if err != nil {
-						t.Fatal(err)
-					}
-					dck, err := DecodeCheckpoint(blob)
-					if err != nil {
-						t.Fatal(err)
-					}
-					if dck.TraceID != "mig-1" || dck.SourceHash != "h1" ||
-						dck.Steps != ck.Steps || dck.Backend != dir.from {
-						t.Fatalf("decoded checkpoint identity wrong: %+v", dck)
-					}
-					got, err := dck.Resume(RunOptions{Backend: dir.to})
-					if err != nil {
-						t.Fatal(err)
-					}
-					if got != ref {
-						t.Fatalf("resumed run diverged:\n  resumed       %+v\n  uninterrupted %+v", got, ref)
-					}
-				})
-			}
+			t.Run(fmt.Sprintf("%v/cap%d", col, capac), func(t *testing.T) {
+				ck := checkpointAt(t, c, RunOptions{
+					Capacity:       capac,
+					CheckpointMeta: CheckpointMeta{SourceHash: "h1", TraceID: "mig-1"},
+				}, ref.Steps/2)
+				if ck.Engine != EngineEnv || ck.Collector != col {
+					t.Fatalf("checkpoint identity wrong: %+v", ck)
+				}
+				// Through the wire: encode, decode (full re-certification),
+				// then resume.
+				blob, err := ck.Encode()
+				if err != nil {
+					t.Fatal(err)
+				}
+				dck, err := DecodeCheckpoint(blob)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if dck.TraceID != "mig-1" || dck.SourceHash != "h1" || dck.Steps != ck.Steps {
+					t.Fatalf("decoded checkpoint identity wrong: %+v", dck)
+				}
+				got, err := dck.Resume(RunOptions{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != ref {
+					t.Fatalf("resumed run diverged:\n  resumed       %+v\n  uninterrupted %+v", got, ref)
+				}
+			})
 		}
+	}
+}
+
+// TestCheckpointBlobCompatibility decodes and resumes blobs of
+// workload.AllocHeavySrc(60) paused at step 2000 (basic collector,
+// capacity 16, growth on). testdata/arena_alloc_heavy_60.ckpt was written
+// by psgc while it still had a selectable arena store; its header and body
+// name that store, a field the current format no longer has, and must be
+// skipped. The second case is a blob written by this code. Both must
+// resume bit-identical to an uninterrupted run in value and every counter.
+func TestCheckpointBlobCompatibility(t *testing.T) {
+	c, err := Compile(workload.AllocHeavySrc(60), Basic)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := c.Run(RunOptions{Capacity: 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	old, err := os.ReadFile("testdata/arena_alloc_heavy_60.ckpt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	current, err := checkpointAt(t, c, RunOptions{Capacity: 16}, 2000).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		blob []byte
+	}{{"arena_store_blob", old}, {"current_blob", current}} {
+		t.Run(tc.name, func(t *testing.T) {
+			ck, err := DecodeCheckpoint(tc.blob)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if ck.Steps != 2000 || ck.Collector != Basic || ck.Engine != EngineEnv {
+				t.Fatalf("decoded checkpoint identity wrong: %+v", ck)
+			}
+			got, err := ck.Resume(RunOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != ref {
+				t.Fatalf("resumed run diverged:\n  resumed       %+v\n  uninterrupted %+v", got, ref)
+			}
+		})
 	}
 }
 
 // TestCheckpointerPausesOnDemand exercises the service's pause path: a
 // Progress callback requests a checkpoint mid-run, the run stops at the
 // next step boundary with ErrCheckpointed, delivers the checkpoint on the
-// channel, and the resumed run (other backend) matches the uninterrupted
-// one.
+// channel, and the resumed run matches the uninterrupted one.
 func TestCheckpointerPausesOnDemand(t *testing.T) {
 	src := workload.AllocHeavySrc(30)
 	c, err := Compile(src, Basic)
@@ -121,7 +156,6 @@ func TestCheckpointerPausesOnDemand(t *testing.T) {
 	requested := false
 	res, err := c.Run(RunOptions{
 		Capacity:      32,
-		Backend:       regions.BackendArena,
 		Checkpointer:  cp,
 		ProgressEvery: 100,
 		Progress: func(p Progress) bool {
@@ -144,7 +178,7 @@ func TestCheckpointerPausesOnDemand(t *testing.T) {
 	if ck.Steps <= ref.Steps/2 || ck.Steps >= ref.Steps {
 		t.Fatalf("checkpoint at step %d, expected mid-run (ref %d)", ck.Steps, ref.Steps)
 	}
-	got, err := ck.Resume(RunOptions{Backend: regions.BackendMap})
+	got, err := ck.Resume(RunOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,14 +204,13 @@ func TestCheckpointResumeCoChecked(t *testing.T) {
 	}
 
 	// Checkpoint taken from a co-checked run (captured from the shadow).
-	ck := checkpointAt(t, c, RunOptions{Capacity: 32, Backend: regions.BackendArena, CoCheck: true}, ref.Steps/3)
+	ck := checkpointAt(t, c, RunOptions{Capacity: 32, CoCheck: true}, ref.Steps/3)
 	if ck.Engine != EngineEnv {
 		t.Fatalf("co-checked capture engine %v, want env", ck.Engine)
 	}
 
-	// Resume co-checked on the other backend.
+	// Resume co-checked.
 	got, err := ck.Resume(RunOptions{
-		Backend: regions.BackendMap,
 		CoCheck: true,
 		OnDivergence: func(d Divergence) {
 			t.Errorf("resumed co-check diverged: %v", d)
@@ -192,8 +225,8 @@ func TestCheckpointResumeCoChecked(t *testing.T) {
 }
 
 // TestCheckpointSubstEngine checkpoints a substitution-machine run and
-// resumes it across backends; the checkpoint dictates the engine, so the
-// resume ignores opts.Engine.
+// resumes it; the checkpoint dictates the engine, so the resume ignores
+// opts.Engine.
 func TestCheckpointSubstEngine(t *testing.T) {
 	src := workload.AllocHeavySrc(20)
 	c, err := Compile(src, Generational)
@@ -204,7 +237,7 @@ func TestCheckpointSubstEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck := checkpointAt(t, c, RunOptions{Capacity: 32, Engine: EngineSubst, Backend: regions.BackendMap}, ref.Steps/2)
+	ck := checkpointAt(t, c, RunOptions{Capacity: 32, Engine: EngineSubst}, ref.Steps/2)
 	if ck.Engine != EngineSubst {
 		t.Fatalf("engine %v, want subst", ck.Engine)
 	}
@@ -217,7 +250,7 @@ func TestCheckpointSubstEngine(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Engine comes from the checkpoint even if the resume asks for env.
-	got, err := dck.Resume(RunOptions{Backend: regions.BackendArena, Engine: EngineEnv})
+	got, err := dck.Resume(RunOptions{Engine: EngineEnv})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,14 +270,14 @@ func TestCheckpointProfilerContinuity(t *testing.T) {
 		t.Fatal(err)
 	}
 	refProf := c.Profiler()
-	ref, err := c.Run(RunOptions{Capacity: 24, Backend: regions.BackendArena, Profiler: refProf})
+	ref, err := c.Run(RunOptions{Capacity: 24, Profiler: refProf})
 	if err != nil {
 		t.Fatal(err)
 	}
 	p1 := c.Profiler()
-	ck := checkpointAt(t, c, RunOptions{Capacity: 24, Backend: regions.BackendArena, Profiler: p1}, ref.Steps/2)
+	ck := checkpointAt(t, c, RunOptions{Capacity: 24, Profiler: p1}, ref.Steps/2)
 	p2 := c.Profiler()
-	got, err := ck.Resume(RunOptions{Backend: regions.BackendArena, Profiler: p2})
+	got, err := ck.Resume(RunOptions{Profiler: p2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -297,7 +330,7 @@ func TestDecodeCheckpointRejectsCorruptBlobs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ck := checkpointAt(t, c, RunOptions{Capacity: 32, Backend: regions.BackendArena}, ref.Steps/2)
+	ck := checkpointAt(t, c, RunOptions{Capacity: 32}, ref.Steps/2)
 	blob, err := ck.Encode()
 	if err != nil {
 		t.Fatal(err)
@@ -337,7 +370,6 @@ func TestDecodeCheckpointRejectsCorruptBlobs(t *testing.T) {
 		{"unknown_engine", func(s *checkpoint.Snapshot) { s.Engine = "warp" }},
 		{"collector_dialect_mismatch", func(s *checkpoint.Snapshot) { s.Collector = "basic" }},
 		{"unknown_collector", func(s *checkpoint.Snapshot) { s.Collector = "mark-sweep" }},
-		{"unknown_backend", func(s *checkpoint.Snapshot) { s.Backend = "tape" }},
 		{"negative_fuel", func(s *checkpoint.Snapshot) { s.FuelRemaining = -1 }},
 		{"negative_collections", func(s *checkpoint.Snapshot) { s.Collections = -1 }},
 		{"tampered_collector_prefix", func(s *checkpoint.Snapshot) {

@@ -6,7 +6,6 @@
 // Additional modes:
 //
 //	-engine env|subst     execution engine for in-process experiments (default env)
-//	-backend map|arena    memory substrate for in-process experiments (default map)
 //	-remote URL           drive the experiment suite (E1–E9) through a running
 //	                      psgc-served instance: per-collector / per-engine
 //	                      p50/p90/p99 request latencies next to the behavioural
@@ -20,11 +19,6 @@
 //	                      cache tier).
 //	-snapshot PATH        write a JSON snapshot of the E1 workload under both
 //	                      engines (the CI BENCH_4.json artifact) and exit
-//	-snapshot-backend PATH  write a JSON snapshot comparing the map and arena
-//	                      memory backends on the E1 workload — whole-run rows
-//	                      with bit-for-bit counter identities, a co-check
-//	                      verification, and the substrate-isolated op-trace
-//	                      replay (the CI BENCH_7.json artifact) — and exit
 //	-snapshot-fleet PATH  write a fleet-mode JSON snapshot (E1 latency
 //	                      percentiles through -gate or -remote, plus the gate's
 //	                      metrics when the target is a gate — the CI
@@ -33,13 +27,6 @@
 //	                      overhead on E1 and the adaptive policy measured
 //	                      against every static collector on the mixed
 //	                      workloads (the CI BENCH_8.json artifact) and exit
-//	-snapshot-cells PATH  write a JSON snapshot comparing the packed cell
-//	                      representation against the boxed baseline machine
-//	                      on the E1 workload — boxed-vs-packed rows per
-//	                      collector × capacity × backend, bit-for-bit
-//	                      counter identities, a co-check verification, and
-//	                      the zero-allocation gates (the CI BENCH_9.json
-//	                      artifact) — and exit
 package main
 
 import (
@@ -55,18 +42,14 @@ import (
 	"os"
 	"sort"
 	"strconv"
-	"testing"
-
 	"time"
 
 	"psgc"
 	"psgc/internal/baseline"
 	"psgc/internal/gclang"
 	"psgc/internal/gen"
-	"psgc/internal/names"
 	"psgc/internal/obs"
 	"psgc/internal/policy"
-	"psgc/internal/regions"
 	"psgc/internal/source"
 	"psgc/internal/tags"
 	"psgc/internal/workload"
@@ -91,29 +74,19 @@ var experiments = []struct {
 // runEngine is the engine every in-process experiment runs on, from -engine.
 var runEngine psgc.Engine
 
-// runBackend is the memory substrate every in-process experiment runs on,
-// from -backend.
-var runBackend regions.Backend
-
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("psgc-bench: ")
 	engineName := flag.String("engine", "env", "execution engine for in-process experiments: env or subst")
-	backendName := flag.String("backend", "map", "memory substrate for in-process experiments: map or arena")
 	remoteURL := flag.String("remote", "", "base URL of a running psgc-served; drives the experiment suite over HTTP with latency percentiles")
 	gateURL := flag.String("gate", "", "base URL of a psgc-gate fleet front; a remote target on its own, a direct-vs-gate comparison with -remote")
 	flag.IntVar(&remoteRetries, "retries", 4, "retry budget per remote request on 429/503/transport errors (jittered backoff, honors Retry-After)")
 	snapshot := flag.String("snapshot", "", "write a JSON snapshot of the E1 workload under both engines to this path and exit")
-	backendSnapshot := flag.String("snapshot-backend", "", "write a JSON snapshot comparing the map and arena backends on the E1 workload to this path and exit")
 	fleetSnapshot := flag.String("snapshot-fleet", "", "write a fleet-mode JSON snapshot (latency percentiles through -gate or -remote) to this path and exit")
 	policySnapshot := flag.String("snapshot-policy", "", "write a JSON snapshot of profiling overhead and adaptive-vs-static policy to this path and exit")
-	cellsSnapshot := flag.String("snapshot-cells", "", "write a JSON snapshot comparing the packed cell representation against the boxed baseline to this path and exit")
 	flag.Parse()
 	var err error
 	if runEngine, err = psgc.ParseEngine(*engineName); err != nil {
-		log.Fatal(err)
-	}
-	if runBackend, err = regions.ParseBackend(*backendName); err != nil {
 		log.Fatal(err)
 	}
 	if *snapshot != "" {
@@ -122,20 +95,8 @@ func main() {
 		}
 		return
 	}
-	if *backendSnapshot != "" {
-		if err := writeBackendSnapshot(*backendSnapshot); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	if *policySnapshot != "" {
 		if err := writePolicySnapshot(*policySnapshot); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *cellsSnapshot != "" {
-		if err := writeCellsSnapshot(*cellsSnapshot); err != nil {
 			log.Fatal(err)
 		}
 		return
@@ -228,7 +189,7 @@ func e1() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := c.Run(psgc.RunOptions{Capacity: capacity, Engine: runEngine, Backend: runBackend})
+			res, err := c.Run(psgc.RunOptions{Capacity: capacity, Engine: runEngine})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -305,7 +266,7 @@ func e5() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := c.Run(psgc.RunOptions{Capacity: 48, Engine: runEngine, Backend: runBackend})
+			res, err := c.Run(psgc.RunOptions{Capacity: 48, Engine: runEngine})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -367,7 +328,7 @@ func e7() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := c.Run(psgc.RunOptions{Capacity: 16, CheckEveryStep: true, Fuel: 2_000_000, Backend: runBackend})
+			res, err := c.Run(psgc.RunOptions{Capacity: 16, CheckEveryStep: true, Fuel: 2_000_000})
 			if err != nil {
 				log.Fatalf("%v: soundness violation: %v", col, err)
 			}
@@ -409,7 +370,7 @@ func e9() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := c.Run(psgc.RunOptions{Capacity: 0, Engine: runEngine, Backend: runBackend}) // no collections
+		res, err := c.Run(psgc.RunOptions{Capacity: 0, Engine: runEngine}) // no collections
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -428,7 +389,6 @@ type remoteRunRequest struct {
 	Source    string `json:"source"`
 	Collector string `json:"collector"`
 	Engine    string `json:"engine"`
-	Backend   string `json:"backend,omitempty"`
 	Policy    string `json:"policy,omitempty"`
 	Capacity  *int   `json:"capacity,omitempty"`
 	CoCheck   bool   `json:"cocheck,omitempty"`
@@ -445,7 +405,6 @@ type remoteRunStats struct {
 type remoteRunResponse struct {
 	Value     int            `json:"value"`
 	Engine    string         `json:"engine"`
-	Backend   string         `json:"backend"`
 	Cached    bool           `json:"cached"`
 	RunMs     float64        `json:"run_ms"`
 	CoChecked bool           `json:"cochecked"`
@@ -685,7 +644,7 @@ func remoteE1(t *remoteTarget) {
 			}
 			e, _ := psgc.ParseEngine(eng)
 			t0 := time.Now()
-			res, err := c.Run(psgc.RunOptions{Capacity: capacity, Engine: e, Backend: runBackend})
+			res, err := c.Run(psgc.RunOptions{Capacity: capacity, Engine: e})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -1058,7 +1017,6 @@ func writeSnapshot(path string) error {
 type fleetRow struct {
 	Collector string  `json:"collector"`
 	Engine    string  `json:"engine"`
-	Backend   string  `json:"backend"`
 	P50Ms     float64 `json:"p50_ms"`
 	P90Ms     float64 `json:"p90_ms"`
 	P99Ms     float64 `json:"p99_ms"`
@@ -1097,20 +1055,14 @@ func writeFleetSnapshot(target, gateURL, path string) error {
 		Workload:   "allocHeavy (build 60)",
 		Requests:   requests,
 	}
-	// Rows alternate the memory backend so the fleet path exercises the
-	// arena substrate end to end, not just the map default.
-	fleetBackends := []string{"map", "arena"}
-	row := 0
 	for _, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational} {
 		for _, eng := range []string{"env", "subst"} {
 			cp := capacity
-			be := fleetBackends[row%len(fleetBackends)]
-			row++
 			ok := true
 			lat, _, err := t.sample(remoteRunRequest{
-				Source: allocHeavy, Collector: col.String(), Engine: eng, Backend: be, Capacity: &cp,
+				Source: allocHeavy, Collector: col.String(), Engine: eng, Capacity: &cp,
 			}, warmup, requests, func(rr remoteRunResponse) error {
-				ok = ok && rr.Value == want && rr.Engine == eng && rr.Backend == be
+				ok = ok && rr.Value == want && rr.Engine == eng
 				return nil
 			})
 			if err != nil {
@@ -1118,7 +1070,7 @@ func writeFleetSnapshot(target, gateURL, path string) error {
 			}
 			p50, p90, p99 := pcts(lat)
 			snap.Rows = append(snap.Rows, fleetRow{
-				Collector: col.String(), Engine: eng, Backend: be,
+				Collector: col.String(), Engine: eng,
 				P50Ms: p50, P90Ms: p90, P99Ms: p99, ResultOK: ok,
 			})
 		}
@@ -1146,505 +1098,6 @@ func writeFleetSnapshot(target, gateURL, path string) error {
 	}
 	fmt.Printf("wrote %s: %d rows through %s, worst p99 %.3f ms\n", path, len(snap.Rows), target, worst)
 	return nil
-}
-
-// backendRow is one E1 configuration measured on one memory backend
-// (environment engine, best of three).
-type backendRow struct {
-	Capacity    int     `json:"capacity"`
-	Collector   string  `json:"collector"`
-	Backend     string  `json:"backend"`
-	Value       int     `json:"value"`
-	ResultOK    bool    `json:"result_ok"`
-	Steps       int     `json:"steps"`
-	Collections int     `json:"collections"`
-	Puts        int     `json:"puts"`
-	Reclaimed   int     `json:"reclaimed"`
-	MaxLive     int     `json:"max_live"`
-	RunMs       float64 `json:"run_ms"`
-}
-
-// replayRow is the substrate-isolated comparison for one collector: the
-// E1 run's exact op sequence, recorded once, replayed on a fresh store of
-// each substrate. Replay time is pure store cost — no machine
-// interpretation — so this is where the substrate difference shows up
-// undiluted. Three substrates run: the seed's string-keyed store
-// (legacy-string, the baseline this PR's perf claim is measured against),
-// the uint32-interned map backend, and the flat arena.
-type replayRow struct {
-	Collector     string  `json:"collector"`
-	Ops           int     `json:"ops"`
-	LegacyP50Ms   float64 `json:"legacy_p50_ms"`
-	MapP50Ms      float64 `json:"map_p50_ms"`
-	ArenaP50Ms    float64 `json:"arena_p50_ms"`
-	ArenaVsLegacy float64 `json:"arena_vs_legacy"`
-	ArenaVsMap    float64 `json:"arena_vs_map"`
-}
-
-type backendSnapshotFile struct {
-	Experiment string `json:"experiment"`
-	Workload   string `json:"workload"`
-	// IdentitiesOK reports that every whole-run row pair agrees bit for
-	// bit across backends: value, steps, collections, and the full Stats
-	// counters.
-	IdentitiesOK bool `json:"identities_ok"`
-	// CoCheckOK reports that one co-checked arena run per collector
-	// finished without diverging from the map-substrate oracle.
-	CoCheckOK bool `json:"cocheck_ok"`
-	// ArenaOpSpeedupGeomean is the headline: the geometric mean over
-	// collectors of legacy-p50 / arena-p50 on the replayed op trace, i.e.
-	// the arena against the substrate this repository seeded with
-	// (string-keyed map, O(live-regions) scan per Put) — the baseline this
-	// PR's performance claim is made against.
-	ArenaOpSpeedupGeomean float64 `json:"arena_op_speedup_geomean"`
-	// ArenaVsMapOpGeomean compares the arena against the uint32-interned
-	// map backend, which this PR also introduced: interning region names
-	// to dense ids removed the string hash from the map's hot path too, so
-	// the two refactored backends land close together and this hovers
-	// near 1. The win over the seed substrate is shared, not arena-only.
-	ArenaVsMapOpGeomean float64 `json:"arena_vs_map_op_speedup_geomean"`
-	// ArenaRunSpeedupGeomean is the whole-run arena/map ratio for
-	// honesty's sake: store ops are a small fraction of end-to-end machine
-	// time (value resolution and host allocation dominate), so this
-	// hovers near 1.
-	ArenaRunSpeedupGeomean float64      `json:"arena_run_speedup_geomean"`
-	Rows                   []backendRow `json:"rows"`
-	Replay                 []replayRow  `json:"replay"`
-}
-
-// writeBackendSnapshot runs the E1 workload on both memory backends and
-// writes the BENCH_7.json artifact: whole-run rows with counter
-// identities, a co-check verification of the arena, and the op-trace
-// replay that measures the substrate in isolation.
-func writeBackendSnapshot(path string) error {
-	want, err := psgc.Interpret(allocHeavy)
-	if err != nil {
-		return err
-	}
-	snap := backendSnapshotFile{
-		Experiment:   "e1-backend",
-		Workload:     "allocHeavy (build 60)",
-		IdentitiesOK: true,
-		CoCheckOK:    true,
-	}
-	backends := []regions.Backend{regions.BackendMap, regions.BackendArena}
-
-	// Whole-run rows: best-of-3 per capacity x collector x backend on the
-	// env engine, asserting the counter identities along the way.
-	runLogSum, runLogN := 0.0, 0
-	for _, capacity := range []int{16, 32, 64, 128} {
-		for _, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational} {
-			c, err := psgc.Compile(allocHeavy, col)
-			if err != nil {
-				return err
-			}
-			var pair [2]float64 // best-of-3 ms, indexed by backend
-			var results [2]psgc.Result
-			for _, be := range backends {
-				best := math.Inf(1)
-				var res psgc.Result
-				for rep := 0; rep < 3; rep++ {
-					t0 := time.Now()
-					res, err = c.Run(psgc.RunOptions{Capacity: capacity, Backend: be})
-					if err != nil {
-						return err
-					}
-					if ms := float64(time.Since(t0)) / float64(time.Millisecond); ms < best {
-						best = ms
-					}
-				}
-				pair[be], results[be] = best, res
-				snap.Rows = append(snap.Rows, backendRow{
-					Capacity: capacity, Collector: col.String(), Backend: be.String(),
-					Value: res.Value, ResultOK: res.Value == want,
-					Steps: res.Steps, Collections: res.Collections,
-					Puts: res.Stats.Puts, Reclaimed: res.Stats.CellsReclaimed,
-					MaxLive: res.Stats.MaxLiveCells, RunMs: best,
-				})
-			}
-			if results[regions.BackendMap] != results[regions.BackendArena] {
-				snap.IdentitiesOK = false
-				fmt.Printf("IDENTITY VIOLATION at capacity %d, %s:\n  map   %+v\n  arena %+v\n",
-					capacity, col, results[regions.BackendMap], results[regions.BackendArena])
-			}
-			if pair[regions.BackendArena] > 0 {
-				runLogSum += math.Log(pair[regions.BackendMap] / pair[regions.BackendArena])
-				runLogN++
-			}
-		}
-	}
-	if runLogN > 0 {
-		snap.ArenaRunSpeedupGeomean = math.Exp(runLogSum / float64(runLogN))
-	}
-
-	// Substrate-isolated replay plus the co-check verification, per
-	// collector: record the op trace from one arena run under the map
-	// oracle, then replay the identical sequence on fresh stores.
-	const replayCapacity, replayReps = 32, 25
-	legacyLogSum, mapLogSum, opLogN := 0.0, 0.0, 0
-	for _, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational} {
-		c, err := psgc.Compile(allocHeavy, col)
-		if err != nil {
-			return err
-		}
-		var tr *regions.Trace[gclang.Cell]
-		diverged := false
-		_, err = c.Run(psgc.RunOptions{
-			Capacity:     replayCapacity,
-			Backend:      regions.BackendArena,
-			CoCheck:      true,
-			OnDivergence: func(psgc.Divergence) { diverged = true },
-			WrapStore: func(s regions.Store[gclang.Cell]) regions.Store[gclang.Cell] {
-				tr = regions.NewTrace(s)
-				return tr
-			},
-		})
-		if err != nil {
-			return fmt.Errorf("co-checked trace run (%s): %w", col, err)
-		}
-		if diverged {
-			snap.CoCheckOK = false
-			fmt.Printf("CO-CHECK DIVERGENCE on the arena backend (%s)\n", col)
-		}
-		// The machine loads its code into cd during construction, before
-		// the trace wrapper attaches, so the recorded ops assume a
-		// populated cd. Re-seed it (untimed) before each replay.
-		cdSize := tr.Inner.Size(regions.CD)
-		seedCD := func(s regions.Store[gclang.Cell]) {
-			for off := 0; off < cdSize; off++ {
-				if v, ok := tr.Inner.Peek(regions.Addr{Region: regions.CD, Off: off}); ok {
-					s.Put(regions.CD, v)
-				}
-			}
-		}
-		oneReplay := func(be regions.Backend) (float64, error) {
-			var s regions.Store[gclang.Cell]
-			if be == regions.BackendLegacyString {
-				s = regions.NewLegacyString[gclang.Cell](replayCapacity)
-			} else {
-				s = regions.NewStore[gclang.Cell](be, replayCapacity)
-			}
-			s.SetAutoGrow(true)
-			seedCD(s)
-			t0 := time.Now()
-			if err := regions.Replay(tr.Ops, s); err != nil {
-				return 0, fmt.Errorf("replay on %s (%s): %w", be, col, err)
-			}
-			return float64(time.Since(t0)) / float64(time.Millisecond), nil
-		}
-		// The reps interleave the substrates so host-GC drift over the
-		// measurement window biases no side; the first (warmup) round is
-		// discarded and the p50 is taken per substrate.
-		replayBackends := []regions.Backend{
-			regions.BackendLegacyString, regions.BackendMap, regions.BackendArena,
-		}
-		times := map[regions.Backend][]float64{}
-		for rep := 0; rep < replayReps+1; rep++ {
-			for _, be := range replayBackends {
-				ms, err := oneReplay(be)
-				if err != nil {
-					return err
-				}
-				if rep > 0 {
-					times[be] = append(times[be], ms)
-				}
-			}
-		}
-		p50 := func(be regions.Backend) float64 {
-			ts := times[be]
-			sort.Float64s(ts)
-			return ts[len(ts)/2]
-		}
-		legacyMs := p50(regions.BackendLegacyString)
-		mapMs, arenaMs := p50(regions.BackendMap), p50(regions.BackendArena)
-		vsLegacy, vsMap := 0.0, 0.0
-		if arenaMs > 0 {
-			vsLegacy, vsMap = legacyMs/arenaMs, mapMs/arenaMs
-			legacyLogSum += math.Log(vsLegacy)
-			mapLogSum += math.Log(vsMap)
-			opLogN++
-		}
-		snap.Replay = append(snap.Replay, replayRow{
-			Collector: col.String(), Ops: len(tr.Ops),
-			LegacyP50Ms: legacyMs, MapP50Ms: mapMs, ArenaP50Ms: arenaMs,
-			ArenaVsLegacy: vsLegacy, ArenaVsMap: vsMap,
-		})
-	}
-	if opLogN > 0 {
-		snap.ArenaOpSpeedupGeomean = math.Exp(legacyLogSum / float64(opLogN))
-		snap.ArenaVsMapOpGeomean = math.Exp(mapLogSum / float64(opLogN))
-	}
-
-	out, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d rows, identities %v, cocheck %v, arena op speedup vs seed substrate (geomean) %.2fx, vs map backend %.2fx, whole-run %.2fx\n",
-		path, len(snap.Rows), snap.IdentitiesOK, snap.CoCheckOK,
-		snap.ArenaOpSpeedupGeomean, snap.ArenaVsMapOpGeomean, snap.ArenaRunSpeedupGeomean)
-	return nil
-}
-
-// cellsRow is one E1 configuration measured under one cell representation
-// (environment engine, best of three). Repr is "boxed" for the baseline
-// machine over interface-boxed cells (gclang.Value heap) and "packed" for
-// the production machine over the flat three-word gclang.Cell.
-type cellsRow struct {
-	Capacity      int     `json:"capacity"`
-	Collector     string  `json:"collector"`
-	Backend       string  `json:"backend"`
-	Repr          string  `json:"repr"`
-	Value         int     `json:"value"`
-	ResultOK      bool    `json:"result_ok"`
-	Steps         int     `json:"steps"`
-	Collections   int     `json:"collections"`
-	Puts          int     `json:"puts"`
-	Reclaimed     int     `json:"reclaimed"`
-	MaxLive       int     `json:"max_live"`
-	RunMs         float64 `json:"run_ms"`
-	PackedVsBoxed float64 `json:"packed_vs_boxed,omitempty"` // packed rows only
-}
-
-type cellsSnapshotFile struct {
-	Experiment string `json:"experiment"`
-	Workload   string `json:"workload"`
-	// IdentitiesOK reports that for every configuration the boxed and
-	// packed runs agree bit for bit (value, steps, collections, the full
-	// Stats counters) and that the packed map and packed arena runs agree
-	// with each other — the packing is a representation change, not a
-	// semantic one.
-	IdentitiesOK bool `json:"identities_ok"`
-	// CoCheckOK reports that one co-checked packed-arena run per collector
-	// finished without diverging from the subst-machine oracle on the map
-	// substrate.
-	CoCheckOK bool `json:"cocheck_ok"`
-	// ArenaAllocsPerOp is testing.AllocsPerRun over a warm arena
-	// Put/Get/Set triple; StepAllocsPerOp is the same over five steps of a
-	// warm environment-machine mutator loop. Both must be exactly zero —
-	// the packed representation's contract is that the steady state
-	// touches the host allocator not at all.
-	ArenaAllocsPerOp float64 `json:"arena_allocs_per_op"`
-	StepAllocsPerOp  float64 `json:"step_allocs_per_op"`
-	AllocsOK         bool    `json:"allocs_ok"`
-	// PackedVsBoxedArenaGeomean is the headline: the geometric mean over
-	// collectors × capacities of boxed-ms / packed-ms on the arena
-	// backend. The gate requires ≥ 1.5: the flat []Cell slab plus
-	// zero-allocation stepping must beat the interface-boxed heap by half
-	// again, or the packing refactor isn't paying for itself.
-	PackedVsBoxedArenaGeomean float64 `json:"packed_vs_boxed_arena_geomean"`
-	// PackedVsBoxedMapGeomean is the same ratio on the map backend, for
-	// scale: the map substrate dilutes the win with hashing costs shared
-	// by both representations.
-	PackedVsBoxedMapGeomean float64    `json:"packed_vs_boxed_map_geomean"`
-	Rows                    []cellsRow `json:"rows"`
-}
-
-// writeCellsSnapshot runs the E1 workload under both cell representations
-// and writes the BENCH_9.json artifact: boxed-vs-packed rows per collector
-// × capacity × backend with counter identities, a co-check verification of
-// the packed arena, the zero-allocation gates, and the packed-vs-boxed
-// geomeans.
-func writeCellsSnapshot(path string) error {
-	want, err := psgc.Interpret(allocHeavy)
-	if err != nil {
-		return err
-	}
-	snap := cellsSnapshotFile{
-		Experiment:   "e1-cells",
-		Workload:     "allocHeavy (build 60)",
-		IdentitiesOK: true,
-		CoCheckOK:    true,
-	}
-	backends := []regions.Backend{regions.BackendMap, regions.BackendArena}
-
-	// Boxed-vs-packed rows: best-of-3 per capacity × collector × backend,
-	// interleaving the representations so host-GC drift biases neither.
-	var arenaLogSum, mapLogSum float64
-	var arenaLogN, mapLogN int
-	for _, capacity := range []int{16, 32, 64, 128} {
-		for _, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational} {
-			c, err := psgc.Compile(allocHeavy, col)
-			if err != nil {
-				return err
-			}
-			var packedRes [2]psgc.Result
-			for _, be := range backends {
-				opts := psgc.RunOptions{Capacity: capacity, Backend: be}
-				bestBoxed, bestPacked := math.Inf(1), math.Inf(1)
-				var boxedRes, packedOne psgc.Result
-				for rep := 0; rep < 3; rep++ {
-					t0 := time.Now()
-					if boxedRes, err = c.RunBoxed(opts); err != nil {
-						return err
-					}
-					if ms := float64(time.Since(t0)) / float64(time.Millisecond); ms < bestBoxed {
-						bestBoxed = ms
-					}
-					t0 = time.Now()
-					if packedOne, err = c.Run(opts); err != nil {
-						return err
-					}
-					if ms := float64(time.Since(t0)) / float64(time.Millisecond); ms < bestPacked {
-						bestPacked = ms
-					}
-				}
-				packedRes[be] = packedOne
-				if boxedRes != packedOne {
-					snap.IdentitiesOK = false
-					fmt.Printf("IDENTITY VIOLATION boxed vs packed at capacity %d, %s, %s:\n  boxed  %+v\n  packed %+v\n",
-						capacity, col, be, boxedRes, packedOne)
-				}
-				ratio := 0.0
-				if bestPacked > 0 {
-					ratio = bestBoxed / bestPacked
-					if be == regions.BackendArena {
-						arenaLogSum += math.Log(ratio)
-						arenaLogN++
-					} else {
-						mapLogSum += math.Log(ratio)
-						mapLogN++
-					}
-				}
-				row := cellsRow{
-					Capacity: capacity, Collector: col.String(), Backend: be.String(),
-					Steps: boxedRes.Steps, Collections: boxedRes.Collections,
-					Puts: boxedRes.Stats.Puts, Reclaimed: boxedRes.Stats.CellsReclaimed,
-					MaxLive: boxedRes.Stats.MaxLiveCells,
-				}
-				boxed, packed := row, row
-				boxed.Repr, boxed.Value, boxed.ResultOK, boxed.RunMs = "boxed", boxedRes.Value, boxedRes.Value == want, bestBoxed
-				packed.Repr, packed.Value, packed.ResultOK, packed.RunMs = "packed", packedOne.Value, packedOne.Value == want, bestPacked
-				packed.PackedVsBoxed = ratio
-				snap.Rows = append(snap.Rows, boxed, packed)
-			}
-			if packedRes[regions.BackendMap] != packedRes[regions.BackendArena] {
-				snap.IdentitiesOK = false
-				fmt.Printf("IDENTITY VIOLATION packed map vs arena at capacity %d, %s:\n  map   %+v\n  arena %+v\n",
-					capacity, col, packedRes[regions.BackendMap], packedRes[regions.BackendArena])
-			}
-		}
-	}
-	if arenaLogN > 0 {
-		snap.PackedVsBoxedArenaGeomean = math.Exp(arenaLogSum / float64(arenaLogN))
-	}
-	if mapLogN > 0 {
-		snap.PackedVsBoxedMapGeomean = math.Exp(mapLogSum / float64(mapLogN))
-	}
-
-	// One co-checked packed-arena run per collector: the subst machine on
-	// the map oracle steps in lockstep with the packed arena machine.
-	for _, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational} {
-		c, err := psgc.Compile(allocHeavy, col)
-		if err != nil {
-			return err
-		}
-		diverged := false
-		if _, err := c.Run(psgc.RunOptions{
-			Capacity: 32, Backend: regions.BackendArena,
-			CoCheck:      true,
-			OnDivergence: func(psgc.Divergence) { diverged = true },
-		}); err != nil {
-			return fmt.Errorf("co-checked packed-arena run (%s): %w", col, err)
-		}
-		if diverged {
-			snap.CoCheckOK = false
-			fmt.Printf("CO-CHECK DIVERGENCE on the packed arena (%s)\n", col)
-		}
-	}
-
-	snap.ArenaAllocsPerOp = measureArenaAllocs()
-	snap.StepAllocsPerOp = measureStepAllocs()
-	snap.AllocsOK = snap.ArenaAllocsPerOp == 0 && snap.StepAllocsPerOp == 0
-
-	out, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d rows, identities %v, cocheck %v, allocs/op arena %.1f step %.1f, packed vs boxed geomean arena %.2fx map %.2fx\n",
-		path, len(snap.Rows), snap.IdentitiesOK, snap.CoCheckOK,
-		snap.ArenaAllocsPerOp, snap.StepAllocsPerOp,
-		snap.PackedVsBoxedArenaGeomean, snap.PackedVsBoxedMapGeomean)
-	return nil
-}
-
-// measureArenaAllocs is the CI twin of the gclang zero-alloc test: a warm
-// arena (both slabs sized by two junk-fill/scavenge flips) must serve a
-// Put/Get/Set triple with zero host allocations.
-func measureArenaAllocs() float64 {
-	ar := regions.NewArena[gclang.Cell](0)
-	keep := ar.NewRegion()
-	const warm = 4096
-	for i := 0; i < warm; i++ {
-		ar.Put(keep, gclang.NumCell(i))
-	}
-	for flip := 0; flip < 2; flip++ {
-		junk := ar.NewRegion()
-		for i := 0; i < warm; i++ {
-			ar.Put(junk, gclang.NumCell(i))
-		}
-		if err := ar.Only([]regions.Name{keep}); err != nil {
-			panic(err)
-		}
-	}
-	fresh := ar.NewRegion()
-	var sink gclang.Cell
-	allocs := testing.AllocsPerRun(100, func() {
-		a, err := ar.Put(fresh, gclang.NumCell(7))
-		if err != nil {
-			panic(err)
-		}
-		c, err := ar.Get(a)
-		if err != nil {
-			panic(err)
-		}
-		if err := ar.Set(a, c); err != nil {
-			panic(err)
-		}
-		sink = c
-	})
-	_ = sink
-	return allocs
-}
-
-// measureStepAllocs steps a warm environment machine through a mutator
-// loop (call, get, arith, set, branch) on the packed arena; the steady
-// state must not touch the host allocator.
-func measureStepAllocs() float64 {
-	loop := gclang.LamV{RParams: []names.Name{"r"},
-		Params: []gclang.Param{{Name: "x", Ty: gclang.IntT{}}, {Name: "a", Ty: gclang.IntT{}}},
-		Body: gclang.LetT{X: "v", Op: gclang.GetOp{V: gclang.Var{Name: "a"}},
-			Body: gclang.LetT{X: "y", Op: gclang.ArithOp{Kind: gclang.Sub, L: gclang.Var{Name: "x"}, R: gclang.Num{N: 1}},
-				Body: gclang.SetT{Dst: gclang.Var{Name: "a"}, Src: gclang.Var{Name: "y"},
-					Body: gclang.If0T{V: gclang.Var{Name: "y"},
-						Then: gclang.HaltT{V: gclang.Var{Name: "y"}},
-						Else: gclang.AppT{Fn: gclang.CodeAddr(0), Rs: []gclang.Region{gclang.RVar{Name: "r"}},
-							Args: []gclang.Value{gclang.Var{Name: "y"}, gclang.Var{Name: "a"}}}}}}}}
-	prog := gclang.Program{
-		Code: []gclang.NamedFun{{Name: "loop", Fun: loop}},
-		Main: gclang.LetRegionT{R: "r", Body: gclang.LetT{X: "a", Op: gclang.PutOp{R: gclang.RVar{Name: "r"}, V: gclang.Num{N: 0}},
-			Body: gclang.AppT{Fn: gclang.CodeAddr(0), Rs: []gclang.Region{gclang.RVar{Name: "r"}},
-				Args: []gclang.Value{gclang.Num{N: 1 << 30}, gclang.Var{Name: "a"}}}}}}
-	m := gclang.NewEnvMachineOn(regions.BackendArena, gclang.Base, prog, 0)
-	for i := 0; i < 200; i++ {
-		if err := m.Step(); err != nil {
-			panic(err)
-		}
-	}
-	return testing.AllocsPerRun(100, func() {
-		for i := 0; i < 5; i++ {
-			if err := m.Step(); err != nil {
-				panic(err)
-			}
-		}
-	})
 }
 
 // policyRow is one (workload, variant) measurement for BENCH_8: the three

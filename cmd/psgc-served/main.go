@@ -25,7 +25,6 @@
 //	-chaos spec           install fault injection, e.g. "worker.latency=0.1:5ms,machine.corrupt=0.01"
 //	-chaos-seed N         deterministic seed for the chaos registry (default 1)
 //	-engine name          default /run execution engine: "env" or "subst" (default env)
-//	-backend name         default /run memory substrate: "map" or "arena" (default map)
 //	-policy name          default /run collector policy: "static" or "adaptive" (default static)
 //	-profile-cap N        program-profile store capacity in source hashes (default 1024)
 //	-peer url             gate peer-fetch endpoint for the fleet cache tier (off by default)
@@ -75,7 +74,6 @@ func main() {
 		chaosSeed     = flag.Int64("chaos-seed", 1, "deterministic seed for the chaos registry")
 
 		engine     = flag.String("engine", "env", `default execution engine for /run: "env" or "subst"`)
-		backend    = flag.String("backend", "map", `default memory substrate for /run: "map" or "arena"`)
 		defPolicy  = flag.String("policy", "static", `default collector policy for /run: "static" or "adaptive"`)
 		profileCap = flag.Int("profile-cap", 0, "program-profile store capacity in source hashes (0 = default 1024)")
 		peerURL    = flag.String("peer", "", "gate peer-fetch endpoint for the fleet cache tier (e.g. http://gate:8371/peer/fetch; empty disables)")
@@ -126,7 +124,6 @@ func main() {
 		WatchdogMs:      *watchdogMs,
 		ShedThreshold:   *shedThreshold,
 		DefaultEngine:   *engine,
-		DefaultBackend:  *backend,
 		DefaultPolicy:   *defPolicy,
 		ProfileCapacity: *profileCap,
 		PeerFetchURL:    *peerURL,

@@ -12,7 +12,6 @@
 //	-gc basic|forwarding|generational    collector (default basic)
 //	-policy static|adaptive              static uses -gc; adaptive profiles a pilot run, then decides
 //	-engine env|subst                    execution engine (default env)
-//	-backend map|arena                   memory substrate (default map)
 //	-capacity N                          region capacity triggering GC (default 64; 0 = never collect)
 //	-fixed                               disable heap growth
 //	-check                               re-check machine-state well-formedness every step
@@ -27,9 +26,7 @@
 //	-checkpoint file                     write a checkpoint blob to file every -checkpoint-every steps
 //	-checkpoint-every N                  checkpoint cadence in steps (default 50000)
 //	-checkpoint-stop                     stop the run after the first checkpoint is written
-//	-resume file                         resume a checkpoint blob (no source argument; -backend
-//	                                     picks the substrate, so resuming an arena checkpoint
-//	                                     with -backend map is a cross-backend migration)
+//	-resume file                         resume a checkpoint blob (no source argument)
 package main
 
 import (
@@ -47,7 +44,6 @@ import (
 	"psgc/internal/fault"
 	"psgc/internal/obs"
 	"psgc/internal/policy"
-	"psgc/internal/regions"
 	"psgc/internal/source"
 )
 
@@ -78,7 +74,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		gcName    = fs.String("gc", "basic", "collector: basic, forwarding, or generational")
 		polName   = fs.String("policy", "static", "collector policy: static (use -gc as given) or adaptive (profile a pilot run, then decide collector and capacity)")
 		engine    = fs.String("engine", "env", "execution engine: env (environment machine) or subst (substitution oracle; -check implies subst)")
-		backend   = fs.String("backend", "map", "memory substrate: map (hash-map regions) or arena (contiguous slabs, Cheney scavenge)")
 		capacity  = fs.Int("capacity", 64, "region capacity at which ifgc triggers a collection (0 disables)")
 		fixed     = fs.Bool("fixed", false, "disable the survivor-driven heap growth policy")
 		check     = fs.Bool("check", false, "re-check machine-state well-formedness after every step (slow)")
@@ -180,11 +175,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		be, err := regions.ParseBackend(*backend)
-		if err != nil {
-			return fail(err)
-		}
-		opts := psgc.RunOptions{Backend: be, CoCheck: *cocheck,
+		opts := psgc.RunOptions{CoCheck: *cocheck,
 			CheckpointMeta: psgc.CheckpointMeta{SourceHash: ck.SourceHash, TraceID: ck.TraceID}}
 		applyCheckpointFlags(&opts)
 		return finish(ck.Resume(opts))
@@ -239,10 +230,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	be, err := regions.ParseBackend(*backend)
-	if err != nil {
-		return fail(err)
-	}
 
 	// -policy adaptive: run a profiled pilot with the fallback collector,
 	// feed its profile to the policy engine, and let the decision pick the
@@ -255,7 +242,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		const hash = "cli"
 		prof := compiled.Profiler()
 		if _, err := compiled.Run(psgc.RunOptions{
-			Capacity: *capacity, FixedCapacity: *fixed, Backend: be, Profiler: prof,
+			Capacity: *capacity, FixedCapacity: *fixed, Profiler: prof,
 		}); err != nil {
 			return fail(fmt.Errorf("adaptive pilot run: %w", err))
 		}
@@ -278,7 +265,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		FixedCapacity:  *fixed,
 		CheckEveryStep: *check,
 		Engine:         eng,
-		Backend:        be,
 		Policy:         pol,
 		Decision:       decision,
 		CheckpointMeta: psgc.CheckpointMeta{SourceHash: fmt.Sprintf("%x", sha256.Sum256([]byte(src)))},

@@ -220,11 +220,11 @@ func TestChaosSpecRejectedCLI(t *testing.T) {
 }
 
 // TestCheckpointResumeCLI pauses a run with -checkpoint/-checkpoint-stop,
-// then resumes the blob on the *other* backend and checks the final value
+// then resumes the blob in a fresh invocation and checks the final value
 // and step count match an uninterrupted run.
 func TestCheckpointResumeCLI(t *testing.T) {
 	src := "fun build (n : int) : int =\n  if0 n then 0\n  else let p = (n, (n, n)) in fst p + build (n - 1)\ndo build 60"
-	code, out, errOut := runCLI(t, "-stats", "-capacity", "32", "-backend", "arena", "-e", src)
+	code, out, errOut := runCLI(t, "-stats", "-capacity", "32", "-e", src)
 	if code != 0 {
 		t.Fatalf("reference run: exit %d, stderr %q", code, errOut)
 	}
@@ -240,7 +240,7 @@ func TestCheckpointResumeCLI(t *testing.T) {
 	}
 
 	blob := filepath.Join(t.TempDir(), "run.ckpt")
-	code, out, errOut = runCLI(t, "-capacity", "32", "-backend", "arena",
+	code, out, errOut = runCLI(t, "-capacity", "32",
 		"-checkpoint", blob, "-checkpoint-every", "500", "-checkpoint-stop", "-e", src)
 	if code != 0 {
 		t.Fatalf("checkpoint run: exit %d, stderr %q", code, errOut)
@@ -255,8 +255,7 @@ func TestCheckpointResumeCLI(t *testing.T) {
 		t.Fatalf("checkpoint blob missing: %v", err)
 	}
 
-	// Resume on the other backend: cross-backend migration from the CLI.
-	code, out, errOut = runCLI(t, "-stats", "-backend", "map", "-resume", blob)
+	code, out, errOut = runCLI(t, "-stats", "-resume", blob)
 	if code != 0 {
 		t.Fatalf("resume: exit %d, stderr %q", code, errOut)
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"psgc/internal/gclang"
-	"psgc/internal/regions"
 )
 
 // Divergence describes one observed disagreement between the environment
@@ -34,10 +33,6 @@ func (d Divergence) String() string {
 // oracle's. The Recorder, Progress callbacks, and collection counting all
 // observe the oracle, so a diverging shadow cannot pollute the timeline.
 func (c *Compiled) runCoChecked(opts RunOptions) (Result, error) {
-	// The oracle always runs on the map backend — the reference substrate —
-	// while the shadow honors opts.Backend. A co-checked arena run is
-	// therefore also a cell-by-cell differential test of the arena against
-	// the reference implementation.
 	var oracle *gclang.Machine
 	var shadow *gclang.EnvMachine
 	collections := 0
@@ -48,7 +43,7 @@ func (c *Compiled) runCoChecked(opts RunOptions) (Result, error) {
 		// identical configuration and the per-step counter comparison
 		// stays exact across the checkpoint.
 		var err error
-		shadow, err = gclang.RestoreEnvMachine(opts.Backend, c.Collector.Dialect(), c.Prog, ck.image)
+		shadow, err = gclang.RestoreEnvMachine(c.Collector.Dialect(), c.Prog, ck.image)
 		if err != nil {
 			return Result{}, fmt.Errorf("psgc: resume: %w", err)
 		}
@@ -59,7 +54,6 @@ func (c *Compiled) runCoChecked(opts RunOptions) (Result, error) {
 		collections = ck.Collections
 	} else {
 		oracleOpts := opts
-		oracleOpts.Backend = regions.BackendMap
 		oracleOpts.WrapStore = nil // a trace recorder watches the shadow, not the oracle
 		oracle = c.NewMachine(oracleOpts)
 		shadow = c.NewEnvMachine(opts)
@@ -74,8 +68,8 @@ func (c *Compiled) runCoChecked(opts RunOptions) (Result, error) {
 		opts.Profiler.Attach(oracle)
 	}
 	// capture checkpoints from the shadow while it is alive (env-engine
-	// image on opts.Backend, the resumable common case); after a divergence
-	// the oracle is all that is left, so its subst image is captured.
+	// image, the resumable common case); after a divergence the oracle is
+	// all that is left, so its subst image is captured.
 	capture := func(fuelLeft int) (*Checkpoint, error) {
 		if shadow != nil {
 			return c.captureEnv(shadow, &opts, collections, fuelLeft)
@@ -182,7 +176,7 @@ func compareHalt(oracle *gclang.Machine, shadow *gclang.EnvMachine) string {
 		}
 		// Pool handles are machine-local, so packed cells are compared by
 		// decoding each side through its own pools — which makes this walk a
-		// differential test of the packing itself, not just of the backend.
+		// differential test of the packing itself, not just of the heap.
 		if os, ss := oracle.Pool.Decode(ov).String(), shadow.Pool.Decode(sv).String(); os != ss {
 			return fmt.Sprintf("heap cell %v: oracle %s env %s", a, os, ss)
 		}

@@ -2,7 +2,7 @@
 // paused run: the machine image (control state, environment, pools, heap
 // image with region pattern words), the elaborated program it executes,
 // the attached profiler's aggregate state, and the run metadata needed to
-// resume it — collector, backend, engine, fuel remaining, trace identity.
+// resume it — collector, engine, fuel remaining, trace identity.
 //
 // The format is defensive end to end, mirroring the peer compiled-entry
 // cache: a SHA-256 trailer covers every preceding byte, the header carries
@@ -41,7 +41,6 @@ type Header struct {
 	FormatVersion int
 	SourceHash    string
 	Collector     string
-	Backend       string
 	Engine        string
 	TraceID       string
 	Steps         int
@@ -56,12 +55,15 @@ type Header struct {
 	Cells   int
 }
 
-// Snapshot is a complete paused run. Collector, Backend, and Engine are
-// carried as names so this package stays below the psgc root package.
+// Snapshot is a complete paused run. Collector and Engine are carried as
+// names so this package stays below the psgc root package.
+//
+// Blobs written before backend selection was removed also carry a Backend
+// name in the header and the body. Gob skips stream fields the receiving
+// type lacks, so those blobs still decode, under the same format version.
 type Snapshot struct {
 	SourceHash    string
 	Collector     string
-	Backend       string
 	Engine        string
 	TraceID       string
 	Collections   int
@@ -94,7 +96,6 @@ func Encode(s *Snapshot) ([]byte, error) {
 		FormatVersion: FormatVersion,
 		SourceHash:    s.SourceHash,
 		Collector:     s.Collector,
-		Backend:       s.Backend,
 		Engine:        s.Engine,
 		TraceID:       s.TraceID,
 		Steps:         s.Machine.Steps,
@@ -158,7 +159,6 @@ func crossCheck(h *Header, s *Snapshot) error {
 	switch {
 	case h.SourceHash != s.SourceHash,
 		h.Collector != s.Collector,
-		h.Backend != s.Backend,
 		h.Engine != s.Engine,
 		h.TraceID != s.TraceID,
 		h.Collections != s.Collections,

@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"psgc/internal/gclang"
-	"psgc/internal/regions"
 	"psgc/internal/workload"
 )
 
@@ -15,7 +14,7 @@ func snapshotFor(t *testing.T) *Snapshot {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m := gclang.NewEnvMachineOn(regions.BackendArena, gclang.Forw, c.Prog, 0)
+	m := gclang.NewEnvMachine(gclang.Forw, c.Prog, 0)
 	m.Mem.SetAutoGrow(true)
 	for i := 0; i < 200; i++ {
 		if err := m.Step(); err != nil {
@@ -29,7 +28,6 @@ func snapshotFor(t *testing.T) *Snapshot {
 	return &Snapshot{
 		SourceHash:    "deadbeef",
 		Collector:     "forwarding",
-		Backend:       "arena",
 		Engine:        "env",
 		TraceID:       "trace-1",
 		Collections:   3,
@@ -58,7 +56,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	}
 	// The decoded image must restore and resume — the full path a resumed
 	// run takes.
-	res, err := gclang.RestoreEnvMachine(regions.BackendMap, gclang.Forw, got.Program, got.Machine)
+	res, err := gclang.RestoreEnvMachine(gclang.Forw, got.Program, got.Machine)
 	if err != nil {
 		t.Fatal(err)
 	}

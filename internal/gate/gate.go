@@ -387,8 +387,8 @@ func (g *Gate) forward(r *http.Request, path string, body []byte, candidates []s
 			g.backoff(i)
 		}
 		// The raw query string passes through untouched, so per-request
-		// knobs the backends own (?backend=, ?policy=, ?engine=, ?trace=,
-		// ?cocheck=) work identically through the gate.
+		// knobs the backends own (?policy=, ?engine=, ?trace=, ?cocheck=)
+		// work identically through the gate.
 		url := base + path
 		if r.URL.RawQuery != "" {
 			url += "?" + r.URL.RawQuery

@@ -4,7 +4,7 @@ package gate_test
 
 // Chaos through the gate: the fault matrix fires inside in-process
 // backends while traffic arrives via the gate's routing layer, with the
-// memory backend and the policy alternating per request. The gate must
+// policy alternating per request. The gate must
 // stay a transparent proxy: well-formed statuses, correct values on 200s,
 // and no gate-level error substituted for a backend's.
 
@@ -23,11 +23,10 @@ import (
 	"psgc/internal/workload"
 )
 
-// TestGateChaosAlternatingBackendsAndPolicies drives mixed traffic through
-// the gate under each fault point that must stay invisible at this layer,
-// alternating ?backend= between map and arena and ?policy= between static
-// and adaptive.
-func TestGateChaosAlternatingBackendsAndPolicies(t *testing.T) {
+// TestGateChaosAlternatingPolicies drives mixed traffic through the gate
+// under each fault point that must stay invisible at this layer,
+// alternating ?policy= between static and adaptive.
+func TestGateChaosAlternatingPolicies(t *testing.T) {
 	points := []struct {
 		name string
 		reg  *fault.Registry
@@ -37,7 +36,6 @@ func TestGateChaosAlternatingBackendsAndPolicies(t *testing.T) {
 		{"cache.evict", fault.NewRegistry(203).Enable(fault.CacheEvict, 0.8)},
 		{"policy.flip", fault.NewRegistry(204).Enable(fault.PolicyFlip, 1)},
 	}
-	backends := []string{"map", "arena"}
 	policies := []string{"static", "adaptive"}
 	collectors := []string{"basic", "forwarding", "generational"}
 
@@ -49,7 +47,7 @@ func TestGateChaosAlternatingBackendsAndPolicies(t *testing.T) {
 
 			for i := 0; i < 12; i++ {
 				n := 10 + i%8
-				url := f.gateURL + "/run?backend=" + backends[i%2] + "&policy=" + policies[(i/2)%2]
+				url := f.gateURL + "/run?policy=" + policies[(i/2)%2]
 				resp, body := post(t, url, service.RunRequest{
 					CompileRequest: service.CompileRequest{
 						Source:    workload.AllocHeavySrc(n),
@@ -65,9 +63,6 @@ func TestGateChaosAlternatingBackendsAndPolicies(t *testing.T) {
 				}
 				if rr.Value != wantValue(n) {
 					t.Errorf("%s i=%d: value %d, want %d", p.name, i, rr.Value, wantValue(n))
-				}
-				if rr.Backend != backends[i%2] {
-					t.Errorf("%s i=%d: backend %q, want %q through the gate", p.name, i, rr.Backend, backends[i%2])
 				}
 				if want := policies[(i/2)%2]; rr.Policy != want {
 					t.Errorf("%s i=%d: policy %q, want %q through the gate", p.name, i, rr.Policy, want)

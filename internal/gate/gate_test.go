@@ -512,22 +512,20 @@ func TestGateMetricsExposition(t *testing.T) {
 	}
 }
 
-// TestGateForwardsBackendAndPolicyQuery: the gate passes ?backend= and
-// ?policy= through to the owning backend untouched, so fleet clients can
-// pick the memory backend and the adaptive policy per request.
+// TestGateForwardsBackendAndPolicyQuery: the gate passes the query string
+// through to the owning backend untouched, so fleet clients can pick the
+// adaptive policy per request, and the backend's own answers — a 400 for a
+// bogus policy or for naming a memory backend — reach the client as is.
 func TestGateForwardsBackendAndPolicyQuery(t *testing.T) {
 	f := startFleet(t, 2, gate.Config{Seed: 7}, service.Config{Workers: 2, QueueDepth: 8})
 
-	resp, body := post(t, f.gateURL+"/run?backend=arena&policy=adaptive", runReq(21, "basic"))
+	resp, body := post(t, f.gateURL+"/run?policy=adaptive", runReq(21, "basic"))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("run via gate: status %d: %s", resp.StatusCode, body)
 	}
 	got := decodeAs[service.RunResponse](t, body)
 	if got.Value != wantValue(21) {
 		t.Fatalf("value %d, want %d", got.Value, wantValue(21))
-	}
-	if got.Backend != "arena" {
-		t.Errorf("?backend=arena not forwarded: backend %q", got.Backend)
 	}
 	if got.Policy != "adaptive" || got.Decision == nil {
 		t.Errorf("?policy=adaptive not forwarded: policy %q decision %+v", got.Policy, got.Decision)
@@ -537,6 +535,16 @@ func TestGateForwardsBackendAndPolicyQuery(t *testing.T) {
 	resp, body = post(t, f.gateURL+"/run?policy=bogus", runReq(21, "basic"))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bogus policy via gate: status %d: %s", resp.StatusCode, body)
+	}
+	// Memory-backend selection was removed; naming one is a 400 through the
+	// gate too, in the query or in the body.
+	resp, body = post(t, f.gateURL+"/run?backend=map", runReq(21, "basic"))
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("backend selection was removed")) {
+		t.Fatalf("?backend=map via gate: status %d: %s", resp.StatusCode, body)
+	}
+	resp, body = post(t, f.gateURL+"/run", map[string]any{"source": "1", "backend": "arena"})
+	if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(body, []byte("backend selection was removed")) {
+		t.Fatalf("backend in body via gate: status %d: %s", resp.StatusCode, body)
 	}
 }
 

@@ -9,16 +9,12 @@ import (
 	"psgc/internal/tags"
 )
 
-// This file is the unboxed heap representation. PR 7's honest finding was
-// that the flat arena's 3× win on the isolated op trace all but vanished
-// end-to-end because heap cells were interface-boxed gclang.Values: every
-// Put allocated on the host Go heap, and the host collector — not our
-// substrate — dominated the run. The fix is the one §8 of the paper
-// gestures at and every practical tag-checked runtime (the Fred runtime,
-// the Hawblitzel–Petrank verified collectors) actually ships: cells become
-// small fixed-size tagged structs with no pointers, so a region is a flat
-// []Cell the host GC never scans, and the Cheney scavenge is a pure
-// memmove-shaped copy.
+// This file is the unboxed heap representation. Interface-boxed
+// gclang.Values would make every Put a host-Go-heap allocation for the
+// host collector to trace. Instead, as §8 of the paper gestures at and
+// practical tag-checked runtimes (the Fred runtime, the Hawblitzel–Petrank
+// verified collectors) ship, cells are small fixed-size tagged structs with
+// no pointers, so a region is a flat []Cell the host GC never scans.
 //
 // A Cell packs the λGC value forms as a tag word plus two payload words:
 //
@@ -359,7 +355,8 @@ func (p *Pools) Decode(c Cell) Value {
 // CellWords is ValueWords over the packed form: for every cell,
 // CellWords(c) == ValueWords(p.Decode(c)), so the StepEvent word
 // accounting (and everything downstream: profiler survival deciles,
-// timeline bytes) is identical between boxed and packed runs.
+// timeline bytes) is identical whether it is computed from packed cells or
+// from decoded Values.
 func (p *Pools) CellWords(c Cell) int {
 	switch c.Tag {
 	case CellPair:

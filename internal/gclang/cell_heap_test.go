@@ -1,7 +1,6 @@
 package gclang_test
 
 import (
-	"fmt"
 	"testing"
 
 	"psgc/internal/gclang"
@@ -9,46 +8,45 @@ import (
 	"psgc/internal/workload"
 )
 
-// TestCellRoundTripProgramHeaps runs real compiled workloads to completion
-// on both machines and both backends, then round-trips every live heap
-// cell through a fresh set of pools: decode out of the machine's pools,
-// re-encode into empty ones, decode again. The final heaps of actual
+// TestCellRoundTripProgramHeaps runs real compiled workloads to completion,
+// then round-trips every live heap cell through a fresh set of pools:
+// decode out of the machine's pools, re-encode into empty ones, decode
+// again. The final heaps of actual
 // collector executions are the richest cell population we have (forwarded
 // sums, nested closure packages, translucent applications), so this is
-// the end-to-end complement of the random-value property.
+// the end-to-end complement of the random-value property. Subtests are
+// named dialect/store.
 func TestCellRoundTripProgramHeaps(t *testing.T) {
 	for _, d := range []gclang.Dialect{gclang.Base, gclang.Forw, gclang.Gen} {
-		for _, be := range []regions.Backend{regions.BackendMap, regions.BackendArena} {
-			t.Run(fmt.Sprintf("%s/%s", d, be), func(t *testing.T) {
-				c, err := workload.BuildCollectOnce(d, workload.DAG, 5)
-				if err != nil {
-					t.Fatal(err)
+		t.Run(d.String()+"/"+regions.BackendMap.String(), func(t *testing.T) {
+			c, err := workload.BuildCollectOnce(d, workload.DAG, 5)
+			if err != nil {
+				t.Fatal(err)
+			}
+			m := gclang.NewEnvMachine(d, c.Prog, 0)
+			if _, err := m.Run(2_000_000); err != nil {
+				t.Fatal(err)
+			}
+			fresh := gclang.NewPools()
+			cells := 0
+			for _, a := range m.Mem.Cells() {
+				cell, ok := m.Mem.Peek(a)
+				if !ok {
+					t.Fatalf("live cell %v not peekable", a)
 				}
-				m := gclang.NewEnvMachineOn(be, d, c.Prog, 0)
-				if _, err := m.Run(2_000_000); err != nil {
-					t.Fatal(err)
+				v := m.Pool.Decode(cell)
+				re := fresh.Encode(v)
+				if got := fresh.Decode(re).String(); got != v.String() {
+					t.Fatalf("cell %v:\n  in:  %s\n  out: %s", a, v, got)
 				}
-				fresh := gclang.NewPools()
-				cells := 0
-				for _, a := range m.Mem.Cells() {
-					cell, ok := m.Mem.Peek(a)
-					if !ok {
-						t.Fatalf("live cell %v not peekable", a)
-					}
-					v := m.Pool.Decode(cell)
-					re := fresh.Encode(v)
-					if got := fresh.Decode(re).String(); got != v.String() {
-						t.Fatalf("cell %v:\n  in:  %s\n  out: %s", a, v, got)
-					}
-					if cw, vw := fresh.CellWords(re), gclang.ValueWords(v); cw != vw {
-						t.Fatalf("cell %v (%s): CellWords %d, ValueWords %d", a, v, cw, vw)
-					}
-					cells++
+				if cw, vw := fresh.CellWords(re), gclang.ValueWords(v); cw != vw {
+					t.Fatalf("cell %v (%s): CellWords %d, ValueWords %d", a, v, cw, vw)
 				}
-				if cells == 0 {
-					t.Fatal("workload left no live cells to round-trip")
-				}
-			})
-		}
+				cells++
+			}
+			if cells == 0 {
+				t.Fatal("workload left no live cells to round-trip")
+			}
+		})
 	}
 }

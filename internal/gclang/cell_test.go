@@ -162,135 +162,9 @@ func TestCellDecodeNeverPanics(t *testing.T) {
 	}
 }
 
-// TestStoreCellBackendConformance drives the map and arena backends over
-// an identical random schedule of packed-cell operations and requires
-// bit-identical observables: issued names and addresses, statistics,
-// region sets, and raw cell contents.
-func TestStoreCellBackendConformance(t *testing.T) {
-	r := rand.New(rand.NewSource(99))
-	p := NewPools() // shared pool: handles must agree bit-for-bit across stores
-	m := regions.NewStore[Cell](regions.BackendMap, 16)
-	a := regions.NewStore[Cell](regions.BackendArena, 16)
-	m.SetAutoGrow(true)
-	a.SetAutoGrow(true)
-
-	var live []regions.Name
-	var addrs []regions.Addr
-	for round := 0; round < 40; round++ {
-		mn, an := m.NewRegion(), a.NewRegion()
-		if mn != an {
-			t.Fatalf("round %d: names diverged: map %s arena %s", round, mn, an)
-		}
-		live = append(live, mn)
-		for i := 0; i < 5+r.Intn(20); i++ {
-			n := live[r.Intn(len(live))]
-			c := p.Encode(genCellValue(r, 1+r.Intn(3)))
-			ma, err1 := m.Put(n, c)
-			aa, err2 := a.Put(n, c)
-			if (err1 == nil) != (err2 == nil) || ma != aa {
-				t.Fatalf("put: map %v,%v arena %v,%v", ma, err1, aa, err2)
-			}
-			if err1 == nil {
-				addrs = append(addrs, ma)
-			}
-		}
-		for i := 0; i < 5 && len(addrs) > 0; i++ {
-			ad := addrs[r.Intn(len(addrs))]
-			mv, err1 := m.Get(ad)
-			av, err2 := a.Get(ad)
-			if (err1 == nil) != (err2 == nil) || mv != av {
-				t.Fatalf("get %v: map %+v,%v arena %+v,%v", ad, mv, err1, av, err2)
-			}
-			if err1 == nil && r.Intn(2) == 0 {
-				c := p.Encode(genCellValue(r, 1))
-				if e1, e2 := m.Set(ad, c), a.Set(ad, c); (e1 == nil) != (e2 == nil) {
-					t.Fatalf("set %v: map %v arena %v", ad, e1, e2)
-				}
-			}
-		}
-		if r.Intn(3) == 0 && len(live) > 1 {
-			// Condemn a random suffix of the live regions.
-			keepN := r.Intn(len(live))
-			keep := append([]regions.Name(nil), live[:keepN]...)
-			if e1, e2 := m.Only(keep), a.Only(keep); (e1 == nil) != (e2 == nil) {
-				t.Fatalf("only: map %v arena %v", e1, e2)
-			}
-			live = live[:keepN]
-			kept := addrs[:0]
-			for _, ad := range addrs {
-				if m.Has(ad.Region) {
-					kept = append(kept, ad)
-				}
-			}
-			addrs = kept
-		}
-		if m.Stats() != a.Stats() {
-			t.Fatalf("round %d: stats: map %+v arena %+v", round, m.Stats(), a.Stats())
-		}
-	}
-	mc, ac := m.Cells(), a.Cells()
-	if len(mc) != len(ac) {
-		t.Fatalf("final heap: map %d cells arena %d", len(mc), len(ac))
-	}
-	for i := range mc {
-		if mc[i] != ac[i] {
-			t.Fatalf("cell order %d: map %v arena %v", i, mc[i], ac[i])
-		}
-		mv, _ := m.Peek(mc[i])
-		av, _ := a.Peek(ac[i])
-		if mv != av {
-			t.Fatalf("cell %v: map %+v arena %+v", mc[i], mv, av)
-		}
-	}
-}
-
-// TestArenaPackedCellZeroAllocs is the PR's allocation gate on the
-// substrate: once the slabs are warm, arena Put, Get, and Set over packed
-// cells must not allocate on the host heap at all — that is the whole
-// point of the pointer-free Cell representation.
-func TestArenaPackedCellZeroAllocs(t *testing.T) {
-	ar := regions.NewArena[Cell](0)
-	keep := ar.NewRegion()
-	const warm = 4096
-	for i := 0; i < warm; i++ {
-		ar.Put(keep, NumCell(i))
-	}
-	// Two junk fills with scavenging flips size both slabs past the
-	// measured loop's needs.
-	for flip := 0; flip < 2; flip++ {
-		junk := ar.NewRegion()
-		for i := 0; i < warm; i++ {
-			ar.Put(junk, NumCell(i))
-		}
-		if err := ar.Only([]regions.Name{keep}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	fresh := ar.NewRegion()
-	var sink Cell
-	allocs := testing.AllocsPerRun(100, func() {
-		a, err := ar.Put(fresh, NumCell(7))
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := ar.Get(a)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := ar.Set(a, c); err != nil {
-			t.Fatal(err)
-		}
-		sink = c
-	})
-	_ = sink
-	if allocs != 0 {
-		t.Fatalf("arena Put/Get/Set allocated %.1f allocs/op, want 0", allocs)
-	}
-}
-
 // TestEnvMachineStepLoopZeroAllocs gates the machine layer: a warm
 // environment machine stepping a mutator loop (call, get, arith, set,
-// branch) over the packed arena must allocate nothing per iteration.
+// branch) over packed cells must allocate nothing per iteration.
 func TestEnvMachineStepLoopZeroAllocs(t *testing.T) {
 	loop := LamV{RParams: []names.Name{"r"},
 		Params: []Param{{Name: "x", Ty: IntT{}}, {Name: "a", Ty: IntT{}}},
@@ -306,7 +180,7 @@ func TestEnvMachineStepLoopZeroAllocs(t *testing.T) {
 		Main: LetRegionT{R: "r", Body: LetT{X: "a", Op: PutOp{R: RVar{Name: "r"}, V: Num{N: 0}},
 			Body: AppT{Fn: CodeAddr(0), Rs: []Region{RVar{Name: "r"}},
 				Args: []Value{Num{N: 1 << 30}, Var{Name: "a"}}}}}}
-	m := NewEnvMachineOn(regions.BackendArena, Base, prog, 0)
+	m := NewEnvMachine(Base, prog, 0)
 	// Warm: size the env maps and scratch buffers through several
 	// iterations of the 5-step loop body.
 	for i := 0; i < 200; i++ {

@@ -15,7 +15,7 @@ import (
 // This file makes a paused machine first-class data: an Image captures the
 // complete execution state of a machine at a step boundary — control term,
 // environment, side pools, and heap — and a Restore rebuilds a runnable
-// machine from one, on any memory backend. The paper's thesis is that GC
+// machine from one. The paper's thesis is that GC
 // state is ordinary typed data; a checkpoint takes that seriously for the
 // whole machine configuration. Two disciplines follow:
 //
@@ -139,19 +139,19 @@ func (p *Pools) image() PoolImage {
 }
 
 // RestoreEnvMachine rebuilds a runnable environment machine from an image,
-// on the given backend, against the locally certified program p. The image
+// against the locally certified program p. The image
 // is untrusted: the heap image must satisfy the substrate's counter
 // identities, every cell must validate against the pools it indexes, and
 // the cd region must contain exactly p's code blocks, whose pool entries
 // are replaced with the local (typechecked) ones.
-func RestoreEnvMachine(b regions.Backend, d Dialect, p Program, img MachineImage) (*EnvMachine, error) {
+func RestoreEnvMachine(d Dialect, p Program, img MachineImage) (*EnvMachine, error) {
 	if err := validateImage(p, &img); err != nil {
 		return nil, err
 	}
 	if d != img.Dialect {
 		return nil, fmt.Errorf("gclang: restore: image dialect %v, want %v", img.Dialect, d)
 	}
-	mem, err := regions.Restore[Cell](b, img.Heap)
+	mem, err := regions.Restore[Cell](regions.BackendMap, img.Heap)
 	if err != nil {
 		return nil, fmt.Errorf("gclang: restore: %w", err)
 	}
@@ -183,7 +183,7 @@ func RestoreEnvMachine(b regions.Backend, d Dialect, p Program, img MachineImage
 // RestoreMachine rebuilds a runnable substitution machine from an image.
 // Substitution images carry no environment; an image with one is rejected
 // rather than silently dropped.
-func RestoreMachine(b regions.Backend, d Dialect, p Program, img MachineImage) (*Machine, error) {
+func RestoreMachine(d Dialect, p Program, img MachineImage) (*Machine, error) {
 	if len(img.EnvCells)+len(img.EnvTags)+len(img.EnvRegs)+len(img.EnvTyps) != 0 {
 		return nil, fmt.Errorf("gclang: restore: substitution image carries an environment")
 	}
@@ -193,7 +193,7 @@ func RestoreMachine(b regions.Backend, d Dialect, p Program, img MachineImage) (
 	if d != img.Dialect {
 		return nil, fmt.Errorf("gclang: restore: image dialect %v, want %v", img.Dialect, d)
 	}
-	mem, err := regions.Restore[Cell](b, img.Heap)
+	mem, err := regions.Restore[Cell](regions.BackendMap, img.Heap)
 	if err != nil {
 		return nil, fmt.Errorf("gclang: restore: %w", err)
 	}
@@ -209,13 +209,12 @@ func (m *EnvMachine) ClosedCtrl() Term {
 
 // RestoreOracle rebuilds a substitution machine from an *environment*
 // image: the environment is folded into the control term by substitution,
-// the heap is restored onto the map backend (the oracle's substrate), and
-// the pools are shared with no environment left over. A co-checked resume
+// the heap is restored, and the pools are shared with no environment left over. A co-checked resume
 // uses this so both engines start from the identical configuration — same
 // heap cells, same counters — and the per-step counter comparison stays
 // exact across the checkpoint.
 func RestoreOracle(p Program, img MachineImage) (*Machine, error) {
-	env, err := RestoreEnvMachine(regions.BackendMap, img.Dialect, p, img)
+	env, err := RestoreEnvMachine(img.Dialect, p, img)
 	if err != nil {
 		return nil, err
 	}
@@ -231,7 +230,7 @@ func newRestoredMachine(d Dialect, p Program, mem regions.Store[Cell], pool *Poo
 		Psi:     MemType{},
 		Steps:   steps,
 	}
-	// Rebuild the code-region Ψ entries NewMachineOn installs; non-ghost
+	// Rebuild the code-region Ψ entries NewMachine installs; non-ghost
 	// machines never read Ψ, but the invariant that cd is typed is cheap.
 	for i, nf := range p.Code {
 		params := make([]Type, len(nf.Fun.Params))

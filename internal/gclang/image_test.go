@@ -3,7 +3,6 @@ package gclang_test
 import (
 	"bytes"
 	"encoding/gob"
-	"fmt"
 	"testing"
 
 	"psgc/internal/gclang"
@@ -11,11 +10,10 @@ import (
 	"psgc/internal/workload"
 )
 
-// runEnvToHalt runs a fresh env machine on the given backend to completion
-// and returns it.
-func runEnvToHalt(t *testing.T, b regions.Backend, d gclang.Dialect, p gclang.Program) *gclang.EnvMachine {
+// runEnvToHalt runs a fresh env machine to completion and returns it.
+func runEnvToHalt(t *testing.T, d gclang.Dialect, p gclang.Program) *gclang.EnvMachine {
 	t.Helper()
-	m := gclang.NewEnvMachineOn(b, d, p, 0)
+	m := gclang.NewEnvMachine(d, p, 0)
 	m.Mem.SetAutoGrow(true)
 	if _, err := m.Run(2_000_000); err != nil {
 		t.Fatal(err)
@@ -40,9 +38,9 @@ func gobRoundTrip(t *testing.T, img gclang.MachineImage) gclang.MachineImage {
 }
 
 // imageAt steps a fresh env machine to the given step count and images it.
-func imageAt(t *testing.T, b regions.Backend, d gclang.Dialect, p gclang.Program, steps int) gclang.MachineImage {
+func imageAt(t *testing.T, d gclang.Dialect, p gclang.Program, steps int) gclang.MachineImage {
 	t.Helper()
-	m := gclang.NewEnvMachineOn(b, d, p, 0)
+	m := gclang.NewEnvMachine(d, p, 0)
 	m.Mem.SetAutoGrow(true)
 	for m.Steps < steps && !m.Halted {
 		if err := m.Step(); err != nil {
@@ -59,40 +57,38 @@ func imageAt(t *testing.T, b regions.Backend, d gclang.Dialect, p gclang.Program
 	return img
 }
 
+// TestEnvImageCrossBackendResume images a run halfway, pushes the image
+// through gob, and requires the restored machine to finish exactly as the
+// uninterrupted run did: same result, steps, and every memory counter.
+// Subtests are named dialect/source_to_destination store; the map is the
+// only store, so map_to_map is the one pair.
 func TestEnvImageCrossBackendResume(t *testing.T) {
+	b := regions.BackendMap.String()
 	for _, d := range []gclang.Dialect{gclang.Base, gclang.Forw, gclang.Gen} {
-		c, err := workload.BuildCollectOnce(d, workload.List, 16)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref := runEnvToHalt(t, regions.BackendMap, d, c.Prog)
-		for _, pair := range [][2]regions.Backend{
-			{regions.BackendMap, regions.BackendArena},
-			{regions.BackendArena, regions.BackendMap},
-			{regions.BackendMap, regions.BackendMap},
-			{regions.BackendArena, regions.BackendArena},
-		} {
-			from, to := pair[0], pair[1]
-			t.Run(fmt.Sprintf("%s/%s_to_%s", d, from, to), func(t *testing.T) {
-				img := gobRoundTrip(t, imageAt(t, from, d, c.Prog, ref.Steps/2))
-				res, err := gclang.RestoreEnvMachine(to, d, c.Prog, img)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if _, err := res.Run(2_000_000); err != nil {
-					t.Fatal(err)
-				}
-				if res.Result.String() != ref.Result.String() {
-					t.Fatalf("result %s, uninterrupted %s", res.Result, ref.Result)
-				}
-				if res.Steps != ref.Steps {
-					t.Fatalf("steps %d, uninterrupted %d", res.Steps, ref.Steps)
-				}
-				if res.Mem.Stats() != ref.Mem.Stats() {
-					t.Fatalf("stats %+v, uninterrupted %+v", res.Mem.Stats(), ref.Mem.Stats())
-				}
-			})
-		}
+		t.Run(d.String()+"/"+b+"_to_"+b, func(t *testing.T) {
+			c, err := workload.BuildCollectOnce(d, workload.List, 16)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := runEnvToHalt(t, d, c.Prog)
+			img := gobRoundTrip(t, imageAt(t, d, c.Prog, ref.Steps/2))
+			res, err := gclang.RestoreEnvMachine(d, c.Prog, img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := res.Run(2_000_000); err != nil {
+				t.Fatal(err)
+			}
+			if res.Result.String() != ref.Result.String() {
+				t.Fatalf("result %s, uninterrupted %s", res.Result, ref.Result)
+			}
+			if res.Steps != ref.Steps {
+				t.Fatalf("steps %d, uninterrupted %d", res.Steps, ref.Steps)
+			}
+			if res.Mem.Stats() != ref.Mem.Stats() {
+				t.Fatalf("stats %+v, uninterrupted %+v", res.Mem.Stats(), ref.Mem.Stats())
+			}
+		})
 	}
 }
 
@@ -102,10 +98,10 @@ func TestRestoreOracleAgreesWithResumedEnv(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := runEnvToHalt(t, regions.BackendMap, d, c.Prog)
-	img := gobRoundTrip(t, imageAt(t, regions.BackendArena, d, c.Prog, ref.Steps/2))
+	ref := runEnvToHalt(t, d, c.Prog)
+	img := gobRoundTrip(t, imageAt(t, d, c.Prog, ref.Steps/2))
 
-	env, err := gclang.RestoreEnvMachine(regions.BackendArena, d, c.Prog, img)
+	env, err := gclang.RestoreEnvMachine(d, c.Prog, img)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -151,7 +147,7 @@ func TestSubstImageRoundTrip(t *testing.T) {
 	if _, err := ref.Run(2_000_000); err != nil {
 		t.Fatal(err)
 	}
-	m := gclang.NewMachineOn(regions.BackendArena, d, c.Prog, 0)
+	m := gclang.NewMachine(d, c.Prog, 0)
 	m.Mem.SetAutoGrow(true)
 	for m.Steps < ref.Steps/2 {
 		if err := m.Step(); err != nil {
@@ -162,7 +158,7 @@ func TestSubstImageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := gclang.RestoreMachine(regions.BackendMap, d, c.Prog, gobRoundTrip(t, img))
+	res, err := gclang.RestoreMachine(d, c.Prog, gobRoundTrip(t, img))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,9 +177,9 @@ func TestRestoreRejectsTamperedImages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := runEnvToHalt(t, regions.BackendMap, d, c.Prog)
+	ref := runEnvToHalt(t, d, c.Prog)
 	fresh := func() gclang.MachineImage {
-		return imageAt(t, regions.BackendMap, d, c.Prog, ref.Steps/2)
+		return imageAt(t, d, c.Prog, ref.Steps/2)
 	}
 	cases := []struct {
 		name   string
@@ -226,7 +222,7 @@ func TestRestoreRejectsTamperedImages(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			img := fresh()
 			tc.tamper(&img)
-			if _, err := gclang.RestoreEnvMachine(regions.BackendMap, d, c.Prog, img); err == nil {
+			if _, err := gclang.RestoreEnvMachine(d, c.Prog, img); err == nil {
 				t.Fatal("tampered image restored")
 			}
 		})
@@ -234,7 +230,7 @@ func TestRestoreRejectsTamperedImages(t *testing.T) {
 
 	t.Run("dialect mismatch", func(t *testing.T) {
 		img := fresh()
-		if _, err := gclang.RestoreEnvMachine(regions.BackendMap, gclang.Gen, c.Prog, img); err == nil {
+		if _, err := gclang.RestoreEnvMachine(gclang.Gen, c.Prog, img); err == nil {
 			t.Fatal("image restored under wrong dialect")
 		}
 	})
@@ -243,7 +239,7 @@ func TestRestoreRejectsTamperedImages(t *testing.T) {
 		if len(img.EnvCells) == 0 {
 			t.Skip("empty environment at checkpoint")
 		}
-		if _, err := gclang.RestoreMachine(regions.BackendMap, d, c.Prog, img); err == nil {
+		if _, err := gclang.RestoreMachine(d, c.Prog, img); err == nil {
 			t.Fatal("environment image restored as substitution machine")
 		}
 	})
@@ -255,11 +251,11 @@ func TestImageFingerprintTracksContent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref := runEnvToHalt(t, regions.BackendMap, d, c.Prog)
-	a := imageAt(t, regions.BackendMap, d, c.Prog, ref.Steps/2)
-	b := imageAt(t, regions.BackendArena, d, c.Prog, ref.Steps/2)
+	ref := runEnvToHalt(t, d, c.Prog)
+	a := imageAt(t, d, c.Prog, ref.Steps/2)
+	b := imageAt(t, d, c.Prog, ref.Steps/2)
 	if a.Fingerprint() != b.Fingerprint() {
-		t.Fatal("same state on different backends fingerprints differently")
+		t.Fatal("same state reached by two runs fingerprints differently")
 	}
 	b.Heap.Regions[len(b.Heap.Regions)-1].Pattern ^= 1 << 40
 	if a.Fingerprint() == b.Fingerprint() {

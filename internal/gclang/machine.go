@@ -70,14 +70,9 @@ var ErrFuel = errors.New("gclang: out of fuel")
 // in the cd region at offsets matching their indices, as the paper's
 // translation assumes.
 func NewMachine(d Dialect, p Program, capacity int) *Machine {
-	return NewMachineOn(regions.BackendMap, d, p, capacity)
-}
-
-// NewMachineOn is NewMachine over the selected memory backend.
-func NewMachineOn(b regions.Backend, d Dialect, p Program, capacity int) *Machine {
 	m := &Machine{
 		Dialect: d,
-		Mem:     regions.NewStore[Cell](b, capacity),
+		Mem:     regions.New[Cell](capacity),
 		Pool:    NewPools(),
 		Term:    p.Main,
 		Psi:     MemType{},

@@ -5,21 +5,6 @@ import (
 	"testing"
 )
 
-// benchBackends runs a sub-benchmark against a fresh store of each
-// backend, plus the seed's string-keyed substrate as the baseline the
-// regression numbers are read against.
-func benchBackends(b *testing.B, capacity int, f func(b *testing.B, mk func() Store[int])) {
-	for _, be := range Backends() {
-		be := be
-		b.Run(be.String(), func(b *testing.B) {
-			f(b, func() Store[int] { return NewStore[int](be, capacity) })
-		})
-	}
-	b.Run(BackendLegacyString.String(), func(b *testing.B) {
-		f(b, func() Store[int] { return NewLegacyString[int](capacity) })
-	})
-}
-
 // BenchmarkPut is the O(1)-allocation regression for the hot path: Put
 // must not scan live regions (the old MaxLiveCells maintenance did) and
 // must allocate only the amortized slab growth. With many live regions the
@@ -27,66 +12,60 @@ func benchBackends(b *testing.B, capacity int, f func(b *testing.B, mk func() St
 func BenchmarkPut(b *testing.B) {
 	for _, liveRegions := range []int{1, 256} {
 		b.Run(fmt.Sprintf("regions=%d", liveRegions), func(b *testing.B) {
-			benchBackends(b, 0, func(b *testing.B, mk func() Store[int]) {
-				s := mk()
-				rs := make([]Name, liveRegions)
-				for i := range rs {
-					rs[i] = s.NewRegion()
-					s.Put(rs[i], i) // non-empty so LiveCells sums real sizes
+			s := New[int](0)
+			rs := make([]Name, liveRegions)
+			for i := range rs {
+				rs[i] = s.NewRegion()
+				s.Put(rs[i], i) // non-empty so LiveCells sums real sizes
+			}
+			r := rs[0]
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Put(r, i); err != nil {
+					b.Fatal(err)
 				}
-				r := rs[0]
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := s.Put(r, i); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
+			}
 		})
 	}
 }
 
 func BenchmarkGet(b *testing.B) {
-	benchBackends(b, 0, func(b *testing.B, mk func() Store[int]) {
-		s := mk()
-		// Two interleaved regions so the arena measures its slot-table
-		// path too, not just the contiguous fast path.
-		r1, r2 := s.NewRegion(), s.NewRegion()
-		const n = 1024
-		addrs := make([]Addr, 0, 2*n)
-		for i := 0; i < n; i++ {
-			a1, _ := s.Put(r1, i)
-			a2, _ := s.Put(r2, i)
-			addrs = append(addrs, a1, a2)
+	s := New[int](0)
+	// Two interleaved regions, as a mutator and a collector's to-space
+	// interleave their allocations.
+	r1, r2 := s.NewRegion(), s.NewRegion()
+	const n = 1024
+	addrs := make([]Addr, 0, 2*n)
+	for i := 0; i < n; i++ {
+		a1, _ := s.Put(r1, i)
+		a2, _ := s.Put(r2, i)
+		addrs = append(addrs, a1, a2)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := s.Get(addrs[i%len(addrs)]); err != nil {
+			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := s.Get(addrs[i%len(addrs)]); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 func BenchmarkSet(b *testing.B) {
-	benchBackends(b, 0, func(b *testing.B, mk func() Store[int]) {
-		s := mk()
-		r := s.NewRegion()
-		const n = 1024
-		addrs := make([]Addr, n)
-		for i := 0; i < n; i++ {
-			addrs[i], _ = s.Put(r, i)
+	s := New[int](0)
+	r := s.NewRegion()
+	const n = 1024
+	addrs := make([]Addr, n)
+	for i := 0; i < n; i++ {
+		addrs[i], _ = s.Put(r, i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := s.Set(addrs[i%n], i); err != nil {
+			b.Fatal(err)
 		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if err := s.Set(addrs[i%n], i); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
+	}
 }
 
 // BenchmarkOnly measures one collection cycle: allocate a condemned and a
@@ -96,24 +75,22 @@ func BenchmarkSet(b *testing.B) {
 func BenchmarkOnly(b *testing.B) {
 	for _, liveCells := range []int{4, 256} {
 		b.Run(fmt.Sprintf("live=%d", liveCells), func(b *testing.B) {
-			benchBackends(b, 0, func(b *testing.B, mk func() Store[int]) {
-				s := mk()
-				keep := []Name{s.NewRegion()}
-				for i := 0; i < liveCells; i++ {
-					s.Put(keep[0], i)
+			s := New[int](0)
+			keep := []Name{s.NewRegion()}
+			for i := 0; i < liveCells; i++ {
+				s.Put(keep[0], i)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dead := s.NewRegion()
+				for j := 0; j < 4; j++ {
+					s.Put(dead, j)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					dead := s.NewRegion()
-					for j := 0; j < 4; j++ {
-						s.Put(dead, j)
-					}
-					if err := s.Only(keep); err != nil {
-						b.Fatal(err)
-					}
+				if err := s.Only(keep); err != nil {
+					b.Fatal(err)
 				}
-			})
+			}
 		})
 	}
 }

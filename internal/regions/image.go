@@ -2,21 +2,17 @@ package regions
 
 import "fmt"
 
-// This file is the serializable form of a store: a backend-neutral heap
-// image that either backend can export and either backend can rebuild,
-// which is what lets a checkpointed run migrate between fleet nodes whose
-// substrates differ (arena → map and map → arena both work).
+// This file is the serializable form of a store: a heap image that
+// Snapshot exports and Restore rebuilds, which is what lets a checkpointed
+// run resume in another process or on another fleet node.
 //
 // The image is canonical: regions appear in creation order with cd first,
-// and every region carries the §8 pattern word it would have immediately
-// after a scavenge — live bit set, broken bit clear, base equal to the
-// running total of the preceding regions' cells. The map backend has no
-// slab, so it synthesizes the canonical words on export; the arena's
-// physical layout (slot tables, garbage windows, from-space position) is
-// deliberately not serialized, because it is unobservable: addresses are
-// logical ν.ℓ pairs and the Stats counters never count physical moves. A
-// restored arena therefore starts compact with zero garbage, which is a
-// state any run could legally reach.
+// and every region carries a §8 pattern word describing it as one window
+// of a compact slab — live bit set, broken bit clear, base equal to the
+// running total of the preceding regions' cells, count equal to its size.
+// Memory has no slab, so Snapshot synthesizes the words; they are
+// redundant with the cell slices, which is what makes them a cheap
+// structural cross-check on untrusted images.
 //
 // Restore validates everything it is handed cell-count by cell-count —
 // pattern words, creation-order names, the counter identity, and the
@@ -32,16 +28,16 @@ type RegionImage[V any] struct {
 }
 
 // Image is the serializable form of a Store: everything Restore needs to
-// rebuild an observationally identical store on any backend.
+// rebuild an observationally identical store.
 type Image[V any] struct {
-	// From records the exporting backend. Informational: an image restores
-	// onto any backend regardless.
+	// From records the exporting backend. Informational and unchecked:
+	// images from older builds may name a store that no longer exists.
 	From Backend
 	// Capacity is the current fullness threshold (after any auto-growth).
 	Capacity int
 	// AutoGrow records whether the survivor-driven growth policy is on.
 	AutoGrow bool
-	// Counter is the next-region interning counter. Both backends issue
+	// Counter is the next-region interning counter. The store issues
 	// region names by incrementing it exactly once per NewRegion, so it
 	// must equal Stats.RegionsCreated — Restore rejects images where the
 	// identity fails.
@@ -54,12 +50,25 @@ type Image[V any] struct {
 	Regions []RegionImage[V]
 }
 
-// maxImageRegions bounds Counter in a restored image. The arena backend
-// allocates one pattern word per interned name, so an unvalidated counter
-// would let a hostile blob demand gigabytes; 1<<24 names (128 MiB of
-// pattern words) is far beyond what the default 50M-step fuel budget can
-// intern.
+// maxImageRegions bounds Counter in a restored image, so a hostile blob
+// cannot claim an absurd name space; 1<<24 names is far beyond what the
+// default 50M-step fuel budget can intern.
 const maxImageRegions = 1 << 24
+
+// The §8 pattern word: liveness and contiguity are single bits, the slab
+// window is (base, count) packed above them. cd's word is a live marker
+// only.
+const (
+	patLive       uint64 = 1 << 0
+	patBroken     uint64 = 1 << 1
+	patBaseShift         = 2
+	patCountShift        = 34
+	patBaseMask   uint64 = 1<<32 - 1 // 32-bit slab base
+	patCountMax   uint64 = 1<<30 - 1 // 30-bit cell count
+)
+
+func patBase(w uint64) int  { return int((w >> patBaseShift) & patBaseMask) }
+func patCount(w uint64) int { return int(w >> patCountShift) }
 
 // Snapshot exports the store as a canonical Image. It reads cells through
 // Peek, so taking a snapshot perturbs no counter the co-checker compares.
@@ -89,8 +98,7 @@ func Snapshot[V any](s Store[V]) Image[V] {
 			pat |= uint64(base) << patBaseShift
 			base += size
 		} else {
-			// cd keeps its own slab; its pattern word is a live marker only,
-			// mirroring NewArena.
+			// cd's pattern word is a live marker only.
 			pat = patLive
 		}
 		img.Regions = append(img.Regions, RegionImage[V]{Name: n, Pattern: pat, Cells: cells})
@@ -174,50 +182,25 @@ func (img *Image[V]) Validate() error {
 // image. Cell slices are copied, so the image stays usable (a resume retry
 // can restore it again) and the store owns its memory.
 func Restore[V any](b Backend, img Image[V]) (Store[V], error) {
+	if b != BackendMap {
+		return nil, fmt.Errorf("regions: cannot restore image onto backend %s", b)
+	}
 	if err := img.Validate(); err != nil {
 		return nil, err
 	}
-	switch b {
-	case BackendMap:
-		m := &Memory[V]{
-			capacity: img.Capacity,
-			autoGrow: img.AutoGrow,
-			stats:    img.Stats,
-			regions:  make(map[Name]*region[V], len(img.Regions)),
-			counter:  img.Counter,
-		}
-		for _, r := range img.Regions {
-			m.regions[r.Name] = &region[V]{cells: append([]V(nil), r.Cells...)}
-			m.order = append(m.order, r.Name)
-			if r.Name != CD {
-				m.live += len(r.Cells)
-			}
-		}
-		return m, nil
-	case BackendArena:
-		ar := &Arena[V]{
-			capacity: img.Capacity,
-			autoGrow: img.AutoGrow,
-			stats:    img.Stats,
-			pat:      make([]uint64, img.Counter+1),
-			slots:    map[Name][]int32{},
-			counter:  img.Counter,
-		}
-		for _, r := range img.Regions {
-			ar.order = append(ar.order, r.Name)
-			if r.Name == CD {
-				ar.cd = append([]V(nil), r.Cells...)
-				ar.pat[CD] = patLive
-				continue
-			}
-			// The canonical base is exactly the compact slab position, so the
-			// image's pattern word is the restored word verbatim.
-			ar.pat[r.Name] = r.Pattern
-			ar.space = append(ar.space, r.Cells...)
-			ar.live += len(r.Cells)
-		}
-		return ar, nil
-	default:
-		return nil, fmt.Errorf("regions: cannot restore image onto backend %s", b)
+	m := &Memory[V]{
+		capacity: img.Capacity,
+		autoGrow: img.AutoGrow,
+		stats:    img.Stats,
+		regions:  make(map[Name]*region[V], len(img.Regions)),
+		counter:  img.Counter,
 	}
+	for _, r := range img.Regions {
+		m.regions[r.Name] = &region[V]{cells: append([]V(nil), r.Cells...)}
+		m.order = append(m.order, r.Name)
+		if r.Name != CD {
+			m.live += len(r.Cells)
+		}
+	}
+	return m, nil
 }

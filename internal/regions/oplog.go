@@ -3,11 +3,11 @@ package regions
 import "fmt"
 
 // This file provides op-trace record and replay: a Trace store wraps any
-// backend and logs every operation, and Replay re-executes a log against a
+// Store and logs every operation, and Replay re-executes a log against a
 // fresh store. The benchmark harness uses it to measure the substrate in
 // isolation — record the exact memory traffic of a workload once, then
-// replay the identical op sequence against each backend — so backend
-// comparisons see only store costs, not machine interpretation.
+// replay the identical op sequence — so the substrate's share of a run is
+// timed without machine interpretation.
 
 // OpKind identifies one Store operation.
 type OpKind uint8
@@ -110,8 +110,9 @@ func (t *Trace[V]) SetAutoGrow(b bool) { t.Inner.SetAutoGrow(b) }
 func (t *Trace[V]) Backend() Backend   { return t.Inner.Backend() }
 
 // Replay executes a recorded op sequence against s. A log recorded from a
-// successful run replays without error on any conforming backend (both
-// issue identical region names in identical order).
+// successful run replays without error on a fresh store with the recorded
+// store's capacity and growth policy (it issues identical region names in
+// identical order).
 func Replay[V any](ops []Op[V], s Store[V]) error {
 	for i := range ops {
 		op := &ops[i]

@@ -9,15 +9,12 @@
 // can never be reclaimed, and holds the program's functions (§4.3, §6.2).
 //
 // Region names are dense uint32 ids (cd = 0), the bit-pattern region
-// encoding the paper flags as the realistic refinement (§8). Two backends
-// implement the Store interface over that representation: the map-backed
-// Memory (one Go slice per region, regions in a map — the semantic
-// reference the subst oracle and co-checker run on) and the flat Arena
-// (all cells in one slab, reclamation by Cheney two-finger scavenge; see
-// arena.go). Both are generic over the stored value type so the λGC
-// machines and the untyped baseline collectors share one substrate and one
-// set of statistics, and both maintain the Stats counters identically,
-// bit for bit — the cross-backend differential suite depends on that.
+// encoding the paper flags as the realistic refinement (§8). Memory — one
+// Go slice per region, regions in a map — is the one store implementation,
+// and it is literally Fig. 5's map from names to regions. It is generic
+// over the stored value type so the λGC machines and the untyped baseline
+// collectors share one substrate and one set of statistics. The Store
+// interface it implements is the seam Trace (oplog.go) wraps.
 package regions
 
 import (
@@ -49,9 +46,7 @@ type Addr struct {
 func (a Addr) String() string { return fmt.Sprintf("%s.%d", a.Region, a.Off) }
 
 // Stats counts memory traffic. All counters are cumulative over the life
-// of the store. Both backends update every counter at the same operations
-// with the same values, so Stats from a map run and an arena run of the
-// same program are equal as structs.
+// of the store.
 type Stats struct {
 	Puts             int // cells allocated
 	Gets             int // cells read
@@ -62,12 +57,11 @@ type Stats struct {
 	MaxLiveCells     int // high-water mark of live non-code cells
 }
 
-// Store is the memory substrate interface the λGC machines run over. The
-// two implementations are the map-backed Memory (New) and the flat Arena
-// (NewArena); NewStore selects by Backend. Implementations must issue the
-// same Names in the same order (ν1, ν2, … in creation order) and maintain
-// Stats identically, so that addresses, traces, and counters from
-// different backends are directly comparable.
+// Store is the memory substrate interface the λGC machines run over.
+// Memory (New) implements it; Trace wraps any Store and must preserve its
+// observable behavior: the same Names in the same order (ν1, ν2, … in
+// creation order) and the same Stats, so that recorded traces replay to
+// identical addresses and counters.
 type Store[V any] interface {
 	// NewRegion allocates a fresh empty region and returns its name
 	// (the ν of "let region r in e").
@@ -132,55 +126,20 @@ type Store[V any] interface {
 	Backend() Backend
 }
 
-// Backend selects a Store implementation.
+// Backend identifies a Store implementation. Memory is the only one, so
+// BackendMap is the only value. The type, Store.Backend and Restore's
+// backend parameter stay because the benchmark harness (benchmark/
+// machine.go) records a store's Backend and hands it back to Restore.
 type Backend int
 
-const (
-	// BackendMap is the map-backed Memory: one Go slice per region,
-	// regions keyed by id in a map. The subst oracle and the co-checker's
-	// oracle side always run on it.
-	BackendMap Backend = iota
-	// BackendArena is the flat Arena: all cells bump-allocated in one
-	// slab, reclamation by Cheney two-finger scavenge into a to-space.
-	BackendArena
-)
+// BackendMap is the map-backed Memory.
+const BackendMap Backend = 0
 
 func (b Backend) String() string {
-	switch b {
-	case BackendMap:
+	if b == BackendMap {
 		return "map"
-	case BackendArena:
-		return "arena"
-	case BackendLegacyString:
-		return "legacy-string"
-	default:
-		return fmt.Sprintf("backend(%d)", int(b))
 	}
-}
-
-// ParseBackend parses a backend name. The empty string selects the map
-// backend (the historical default).
-func ParseBackend(s string) (Backend, error) {
-	switch s {
-	case "", "map":
-		return BackendMap, nil
-	case "arena":
-		return BackendArena, nil
-	default:
-		return 0, fmt.Errorf("regions: unknown backend %q (want map or arena)", s)
-	}
-}
-
-// Backends lists the selectable backends.
-func Backends() []Backend { return []Backend{BackendMap, BackendArena} }
-
-// NewStore returns a fresh store of the selected backend containing only
-// the code region cd.
-func NewStore[V any](b Backend, capacity int) Store[V] {
-	if b == BackendArena {
-		return NewArena[V](capacity)
-	}
-	return New[V](capacity)
+	return fmt.Sprintf("backend(%d)", int(b))
 }
 
 // A region is a growable array of cells. Offsets are dense, so iteration

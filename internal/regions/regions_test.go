@@ -85,8 +85,17 @@ func TestOnlyDeadRegionErrors(t *testing.T) {
 	if err := m.Only(nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Only([]Name{r}); err == nil {
+	live := m.NewRegion()
+	m.Put(live, 1)
+	other := m.NewRegion()
+	before := m.Stats()
+	if err := m.Only([]Name{live, r}); err == nil {
 		t.Errorf("only keeping a dead region should error")
+	}
+	// An erroring only has no effect: nothing is reclaimed or counted.
+	if !m.Has(other) || m.LiveCells() != 1 || m.Stats() != before {
+		t.Errorf("erroring Only mutated the store: has %v, live %d, stats %+v",
+			m.Has(other), m.LiveCells(), m.Stats())
 	}
 }
 
@@ -139,6 +148,9 @@ func TestFreshRegionNamesNeverRepeat(t *testing.T) {
 		if seen[n] {
 			t.Fatalf("region name %s repeated", n)
 		}
+		if n != Name(i+1) {
+			t.Fatalf("region %d named %s, want dense ids from ν1", i, n)
+		}
 		seen[n] = true
 		if i%3 == 0 {
 			m.Only(nil) // reclaim everything; names must still be fresh
@@ -162,6 +174,9 @@ func TestCellsDeterministicOrder(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Cells()[%d] = %v, want %v", i, got[i], want[i])
 		}
+	}
+	if rs := m.Regions(); len(rs) != 3 || rs[0] != CD || rs[1] != r1 || rs[2] != r2 {
+		t.Fatalf("Regions() = %v, want creation order [cd %s %s]", rs, r1, r2)
 	}
 }
 
@@ -232,4 +247,155 @@ func TestSortedNames(t *testing.T) {
 	if got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Errorf("SortedNames = %v", got)
 	}
+}
+
+// onStore runs f against a fresh map store of the given capacity, as a
+// subtest named after the store's backend.
+func onStore(t *testing.T, capacity int, f func(t *testing.T, s Store[int])) {
+	t.Helper()
+	t.Run(BackendMap.String(), func(t *testing.T) {
+		f(t, New[int](capacity))
+	})
+}
+
+// TestBackendConformance walks one store through the Store contract
+// end to end: dense region ids, interleaved puts, Set, LiveCells excluding
+// cd, Only, exact counters, and an erroring Only that leaves the counters
+// alone.
+func TestBackendConformance(t *testing.T) {
+	onStore(t, 0, func(t *testing.T, s Store[int]) {
+		r1 := s.NewRegion()
+		r2 := s.NewRegion()
+		if r1 != 1 || r2 != 2 {
+			t.Fatalf("region ids = %d, %d; want 1, 2", r1, r2)
+		}
+		a1, err := s.Put(r1, 10)
+		if err != nil {
+			t.Fatal(err)
+		}
+		a2, _ := s.Put(r2, 20)
+		a3, _ := s.Put(r1, 30)
+		ac, _ := s.Put(CD, 99)
+		for _, c := range []struct {
+			a    Addr
+			want int
+		}{{a1, 10}, {a2, 20}, {a3, 30}, {ac, 99}} {
+			if v, err := s.Get(c.a); err != nil || v != c.want {
+				t.Errorf("Get(%s) = %d, %v; want %d", c.a, v, err, c.want)
+			}
+		}
+		if err := s.Set(a3, 31); err != nil {
+			t.Fatal(err)
+		}
+		if v, _ := s.Get(a3); v != 31 {
+			t.Errorf("Get after Set = %d", v)
+		}
+		if got := s.LiveCells(); got != 3 {
+			t.Errorf("LiveCells = %d, want 3 (cd excluded)", got)
+		}
+		if got := s.Size(r1); got != 2 {
+			t.Errorf("Size(r1) = %d, want 2", got)
+		}
+		if err := s.Only([]Name{r1}); err != nil {
+			t.Fatal(err)
+		}
+		if s.Has(r2) || !s.Has(r1) || !s.Has(CD) {
+			t.Errorf("Only kept the wrong regions")
+		}
+		if v, err := s.Get(a1); err != nil || v != 10 {
+			t.Errorf("survivor cell: %d, %v", v, err)
+		}
+		if v, err := s.Get(ac); err != nil || v != 99 {
+			t.Errorf("cd cell after Only: %d, %v", v, err)
+		}
+		if _, err := s.Get(a2); err == nil {
+			t.Errorf("read from reclaimed region succeeded")
+		}
+		st := s.Stats()
+		want := Stats{Puts: 4, Gets: 7, Sets: 1, RegionsCreated: 2,
+			RegionsReclaimed: 1, CellsReclaimed: 1, MaxLiveCells: 3}
+		if st != want {
+			t.Errorf("stats = %+v, want %+v", st, want)
+		}
+		if err := s.Only([]Name{r2}); err == nil {
+			t.Errorf("only keeping a dead region should error")
+		}
+		if s.Stats() != st {
+			t.Errorf("erroring Only mutated stats: %+v", s.Stats())
+		}
+	})
+}
+
+// TestBackendPeekCorrupt checks that Peek and Corrupt are bookkeeping, not
+// traffic: they move no counter, and they refuse addresses that name no
+// live cell.
+func TestBackendPeekCorrupt(t *testing.T) {
+	onStore(t, 0, func(t *testing.T, s Store[int]) {
+		r := s.NewRegion()
+		a, _ := s.Put(r, 7)
+		before := s.Stats()
+		if v, ok := s.Peek(a); !ok || v != 7 {
+			t.Errorf("Peek = %d, %v", v, ok)
+		}
+		if !s.Corrupt(a, 8) {
+			t.Errorf("Corrupt of live cell failed")
+		}
+		if s.Stats() != before {
+			t.Errorf("Peek/Corrupt moved counters: %+v", s.Stats())
+		}
+		if v, _ := s.Get(a); v != 8 {
+			t.Errorf("corrupted cell reads %d", v)
+		}
+		if _, ok := s.Peek(Addr{Region: r, Off: 99}); ok {
+			t.Errorf("Peek of unallocated cell succeeded")
+		}
+		if s.Corrupt(Addr{Region: 42, Off: 0}, 1) {
+			t.Errorf("Corrupt of dead region succeeded")
+		}
+	})
+}
+
+func TestBackendFullnessAndAutoGrow(t *testing.T) {
+	onStore(t, 2, func(t *testing.T, s Store[int]) {
+		s.SetAutoGrow(true)
+		r := s.NewRegion()
+		s.Put(r, 1)
+		if s.Full(r) {
+			t.Errorf("1/2 region reported full")
+		}
+		s.Put(r, 2)
+		if !s.Full(r) {
+			t.Errorf("2/2 region not reported full")
+		}
+		// 2 survivors > capacity/2 = 1, so the capacity doubles to 4.
+		if err := s.Only([]Name{r}); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Capacity(); got != 4 {
+			t.Errorf("capacity after growth = %d, want 4", got)
+		}
+		if s.Full(r) {
+			t.Errorf("region full after growth")
+		}
+	})
+}
+
+func TestBackendCellsOrder(t *testing.T) {
+	onStore(t, 0, func(t *testing.T, s Store[int]) {
+		r1 := s.NewRegion()
+		r2 := s.NewRegion()
+		s.Put(r1, 1)
+		s.Put(r2, 2)
+		s.Put(r1, 3)
+		want := []Addr{{r1, 0}, {r1, 1}, {r2, 0}}
+		got := s.Cells()
+		if len(got) != len(want) {
+			t.Fatalf("Cells() = %v", got)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("Cells()[%d] = %v, want %v", i, got[i], want[i])
+			}
+		}
+	})
 }

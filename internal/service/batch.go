@@ -15,7 +15,6 @@ import (
 	"psgc"
 	"psgc/internal/obs"
 	"psgc/internal/policy"
-	"psgc/internal/regions"
 )
 
 // BatchRequest is the POST /batch payload: an ordered list of run items.
@@ -86,14 +85,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			item.Engine = s.cfg.DefaultEngine
 		}
 		if _, err := psgc.ParseEngine(item.Engine); err != nil {
-			results[i] = batchItemError(http.StatusBadRequest,
-				errorBody{Error: err.Error(), TraceID: itemID})
-			continue
-		}
-		if item.Backend == "" {
-			item.Backend = s.cfg.DefaultBackend
-		}
-		if _, err := regions.ParseBackend(item.Backend); err != nil {
 			results[i] = batchItemError(http.StatusBadRequest,
 				errorBody{Error: err.Error(), TraceID: itemID})
 			continue

@@ -119,9 +119,6 @@ func TestChaosSmokeCorruptionCoChecked(t *testing.T) {
 			CompileRequest: CompileRequest{Source: workload.AllocHeavySrc(n)},
 			Capacity:       intp(40),
 			CoCheck:        true,
-			// Alternate substrates: corruption of arena slabs must be caught
-			// by the map-backend oracle exactly like map corruption is.
-			Backend: []string{"map", "arena"}[i%2],
 		})
 		rr, ok := wellFormedRun(t, status, body)
 		if !ok {

@@ -51,19 +51,13 @@ var chaosPoints = []struct {
 
 var chaosCollectors = []string{"basic", "forwarding", "generational"}
 
-// chaosBackends alternates the memory substrate across the matrix so every
-// fault point fires against the arena as well as the map backend —
-// machine.corrupt in particular must land on arena slabs and still be
-// caught by the map-substrate oracle.
-var chaosBackends = []string{"map", "arena"}
-
 // chaosPolicies alternates the decision path: static runs pin the request's
 // collector, adaptive runs route through the policy engine — which is the
 // surface the policy.flip fault perturbs.
 var chaosPolicies = []string{"static", "adaptive"}
 
 // TestChaosMatrix hammers every fault point with concurrent mixed-collector,
-// mixed-backend traffic and asserts the service never leaves its
+// mixed-policy traffic and asserts the service never leaves its
 // well-formed envelope.
 func TestChaosMatrix(t *testing.T) {
 	for _, p := range chaosPoints {
@@ -86,7 +80,6 @@ func TestChaosMatrix(t *testing.T) {
 							CompileRequest: CompileRequest{Source: workload.AllocHeavySrc(n), Collector: col},
 							Capacity:       intp(40),
 							CoCheck:        p.cocheck,
-							Backend:        chaosBackends[(g+i)%len(chaosBackends)],
 							Policy:         chaosPolicies[(g+2*i)%len(chaosPolicies)],
 						})
 						if !p.allowed[status] {
@@ -183,45 +176,39 @@ func TestChaosTimelineIdentity(t *testing.T) {
 	}
 }
 
-// TestChaosCorruptionNeverWrongValue runs every collector × backend with
-// certain corruption under full co-check sampling: the oracle's value must
-// be served on every single response, and each diverged program must open
-// its own breaker. The corruption is a tag-bit flip in a packed heap cell,
-// so the arena rows specifically pin that flipping bits in the flat slab
-// is caught cell-by-cell by the clean map-substrate oracle.
+// TestChaosCorruptionNeverWrongValue runs every collector with certain
+// corruption under full co-check sampling: the oracle's value must be
+// served on every single response, and each diverged program must open its
+// own breaker. The corruption is a tag-bit flip in a packed heap cell,
+// which the clean oracle must catch cell by cell.
 func TestChaosCorruptionNeverWrongValue(t *testing.T) {
 	fault.Install(fault.NewRegistry(13).Enable(fault.HeapCorrupt, 1))
 	t.Cleanup(func() { fault.Install(nil) })
 	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 16, CoCheckSample: 1})
 
 	diverged := 0
-	cases := 0
 	for i, col := range chaosCollectors {
-		for _, be := range chaosBackends {
-			cases++
-			n := 22 + i
-			status, body := postJSONNoFatal(ts.URL+"/run", RunRequest{
-				CompileRequest: CompileRequest{Source: workload.AllocHeavySrc(n), Collector: col},
-				Capacity:       intp(40),
-				Backend:        be,
-			})
-			if status != http.StatusOK {
-				t.Fatalf("%s/%s: status %d: %s", col, be, status, body)
-			}
-			var rr RunResponse
-			if err := json.Unmarshal(body, &rr); err != nil {
-				t.Fatal(err)
-			}
-			if rr.Value != n*(n+1)/2 {
-				t.Errorf("%s/%s: value %d under certain corruption, want the oracle's %d", col, be, rr.Value, n*(n+1)/2)
-			}
-			if rr.Diverged {
-				diverged++
-			}
+		n := 22 + i
+		status, body := postJSONNoFatal(ts.URL+"/run", RunRequest{
+			CompileRequest: CompileRequest{Source: workload.AllocHeavySrc(n), Collector: col},
+			Capacity:       intp(40),
+		})
+		if status != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", col, status, body)
+		}
+		var rr RunResponse
+		if err := json.Unmarshal(body, &rr); err != nil {
+			t.Fatal(err)
+		}
+		if rr.Value != n*(n+1)/2 {
+			t.Errorf("%s: value %d under certain corruption, want the oracle's %d", col, rr.Value, n*(n+1)/2)
+		}
+		if rr.Diverged {
+			diverged++
 		}
 	}
 	if diverged == 0 {
-		t.Errorf("certain corruption across %d collector×backend cases produced no divergence", cases)
+		t.Errorf("certain corruption across %d collectors produced no divergence", len(chaosCollectors))
 	}
 	if got := s.metrics.BreakersOpen.Load(); got == 0 {
 		t.Error("no breaker opened for diverged programs")

@@ -47,7 +47,6 @@ import (
 	"psgc/internal/fault"
 	"psgc/internal/obs"
 	"psgc/internal/policy"
-	"psgc/internal/regions"
 )
 
 // Config sizes the service. Zero values select the documented defaults.
@@ -100,10 +99,6 @@ type Config struct {
 	// "env" (the default) or "subst". Surfaced in /healthz so operators can
 	// tell what a node is defaulting to.
 	DefaultEngine string
-	// DefaultBackend is the memory substrate /run uses when the request
-	// names none: "map" (the default) or "arena" (contiguous slabs with
-	// Cheney two-finger scavenging). Surfaced in /healthz.
-	DefaultBackend string
 	// PeerFetchURL, when non-empty, is the fleet gate's peer-fetch endpoint
 	// (e.g. http://gate:8373/peer/compiled). On a local compiled-cache miss
 	// the server asks it for another node's compiled entry before paying the
@@ -179,11 +174,6 @@ func (c Config) withDefaults() Config {
 	if _, err := psgc.ParseEngine(c.DefaultEngine); err != nil {
 		c.DefaultEngine = psgc.EngineEnv.String()
 	}
-	b, err := regions.ParseBackend(c.DefaultBackend)
-	if err != nil {
-		b = regions.BackendMap
-	}
-	c.DefaultBackend = b.String()
 	if c.PeerTimeoutMs <= 0 {
 		c.PeerTimeoutMs = 2000
 	}
@@ -509,11 +499,6 @@ type RunRequest struct {
 	// the env engine; slower, but a divergence can never produce a wrong
 	// answer — the oracle's result is always the one returned.
 	CoCheck bool `json:"cocheck"`
-	// Backend selects the memory substrate: "map" (the default) or
-	// "arena". Equivalent to the ?backend= query parameter, which takes
-	// precedence. Co-checked runs always keep the oracle on the map
-	// backend, so a co-checked arena run is a cross-substrate differential.
-	Backend string `json:"backend"`
 	// Policy selects the run policy: "static" (the default — the
 	// request's collector and capacity are used as given) or "adaptive"
 	// (the profile-driven engine picks the collector and initial capacity
@@ -560,7 +545,6 @@ type RunResponse struct {
 	Value      int     `json:"value"`
 	Collector  string  `json:"collector"`
 	Engine     string  `json:"engine"`
-	Backend    string  `json:"backend"`
 	SourceHash string  `json:"source_hash"`
 	Cached     bool    `json:"cached"`
 	Fuel       int     `json:"fuel"`
@@ -668,10 +652,31 @@ func (s *Server) decodeWithin(w http.ResponseWriter, r *http.Request, into any, 
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
+		msg := err.Error()
+		if strings.Contains(msg, `unknown field "backend"`) {
+			msg = errBackendRemoved
+		}
 		s.writeResponse(w, &response{status: http.StatusBadRequest,
-			body: errorBody{Error: "bad request body: " + err.Error(), TraceID: traceID}})
+			body: errorBody{Error: "bad request body: " + msg, TraceID: traceID}})
 		return false
 	}
+	return true
+}
+
+// errBackendRemoved answers a request that still names a memory backend,
+// in a JSON "backend" field or a ?backend= query: every run uses the one
+// region store, so a request naming a backend is refused rather than
+// silently served on a store it did not ask for.
+const errBackendRemoved = "backend selection was removed: every run uses the one region store"
+
+// rejectBackendQuery answers 400 to a non-empty ?backend= and reports
+// whether it did.
+func (s *Server) rejectBackendQuery(w http.ResponseWriter, r *http.Request, traceID string) bool {
+	if r.URL.Query().Get("backend") == "" {
+		return false
+	}
+	s.writeResponse(w, &response{status: http.StatusBadRequest,
+		body: errorBody{Error: errBackendRemoved, TraceID: traceID}})
 	return true
 }
 
@@ -795,7 +800,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.metrics.RunRequests.Add(1)
 	traceID := s.traceRequest(w, r)
-	if !s.requirePost(w, r) {
+	if !s.requirePost(w, r) || s.rejectBackendQuery(w, r, traceID) {
 		return
 	}
 	var req RunRequest
@@ -815,17 +820,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 		req.Engine = s.cfg.DefaultEngine
 	}
 	if _, err := psgc.ParseEngine(req.Engine); err != nil {
-		s.writeResponse(w, &response{status: http.StatusBadRequest,
-			body: errorBody{Error: err.Error(), TraceID: traceID}})
-		return
-	}
-	if v := r.URL.Query().Get("backend"); v != "" {
-		req.Backend = v
-	}
-	if req.Backend == "" {
-		req.Backend = s.cfg.DefaultBackend
-	}
-	if _, err := regions.ParseBackend(req.Backend); err != nil {
 		s.writeResponse(w, &response{status: http.StatusBadRequest,
 			body: errorBody{Error: err.Error(), TraceID: traceID}})
 		return
@@ -884,10 +878,6 @@ func (s *Server) doRun(req RunRequest, col psgc.Collector, trace bool, traceID s
 	if err != nil {
 		return &response{status: http.StatusBadRequest, body: errorBody{Error: err.Error(), TraceID: traceID}}
 	}
-	backend, err := regions.ParseBackend(req.Backend)
-	if err != nil {
-		return &response{status: http.StatusBadRequest, body: errorBody{Error: err.Error(), TraceID: traceID}}
-	}
 	polName, err := policy.Parse(req.Policy)
 	if err != nil {
 		return &response{status: http.StatusBadRequest, body: errorBody{Error: err.Error(), TraceID: traceID}}
@@ -925,7 +915,6 @@ func (s *Server) doRun(req RunRequest, col psgc.Collector, trace bool, traceID s
 	opts := psgc.RunOptions{
 		Capacity:      capacity,
 		FixedCapacity: req.Fixed,
-		Backend:       backend,
 		Policy:        polName,
 		Decision:      decision,
 		Checkpointer:  cp,
@@ -1059,7 +1048,6 @@ func (s *Server) doRun(req RunRequest, col psgc.Collector, trace bool, traceID s
 		Value:      res.Value,
 		Collector:  col.String(),
 		Engine:     engine.String(),
-		Backend:    backend.String(),
 		SourceHash: hash,
 		Cached:     hit,
 		Fuel:       opts.Fuel,
@@ -1212,17 +1200,6 @@ func (s *Server) handleInterpret(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// backendNames lists the memory substrates this build can serve, for the
-// healthz inventory.
-func backendNames() []string {
-	bs := regions.Backends()
-	names := make([]string, len(bs))
-	for i, b := range bs {
-		names[i] = b.String()
-	}
-	return names
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	s.mu.RLock()
 	status := "ok"
@@ -1242,10 +1219,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		// glance what engine everything else still defaults to, and which
 		// build is serving.
 		"default_engine": s.cfg.DefaultEngine,
-		// The memory substrate this node defaults to, and the ones it can
-		// serve (PR 7): ?backend= selects per request.
-		"default_backend": s.cfg.DefaultBackend,
-		"backends":        backendNames(),
 		// The run policy this node defaults to (PR 8): ?policy= selects per
 		// request; the adaptive engine's decisions and the profile store
 		// feeding it are detailed under "policy" below.

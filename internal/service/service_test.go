@@ -241,6 +241,29 @@ func TestBadRequests(t *testing.T) {
 	}
 }
 
+// TestBackendSelection checks that a request still naming a memory
+// backend, in the body or in ?backend=, is refused with a 400 giving the
+// reason, never silently served on the one store.
+func TestBackendSelection(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	for _, tc := range []struct{ path, body string }{
+		{"/run", `{"source": "1", "backend": "arena"}`},
+		{"/run?backend=map", `{"source": "1"}`},
+		{"/batch", `{"items": [{"source": "1", "backend": "map"}]}`},
+		{"/resume?backend=map", `{"blob": "AAAA"}`},
+	} {
+		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "backend selection was removed") {
+			t.Errorf("%s %s: status %d body %s, want 400 naming the removal", tc.path, tc.body, resp.StatusCode, body)
+		}
+	}
+}
+
 // TestHealthzAndMetrics asserts both observability endpoints render and
 // that the verified-collector typecheck counter is visible and stays at
 // one over many compiles.

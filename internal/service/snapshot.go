@@ -2,9 +2,9 @@ package service
 
 // Checkpoint/resume over HTTP: POST /snapshot pauses a live streaming run
 // at its next step boundary and returns the serialized checkpoint blob;
-// POST /resume re-certifies a blob and continues the run — on this node,
-// on any backend. Together with the gate's migration loop this is how an
-// in-flight run moves off a degrading backend without losing a step.
+// POST /resume re-certifies a blob and continues the run — on this node or
+// any other in the fleet. Together with the gate's migration loop this is
+// how an in-flight run moves off a degrading backend without losing a step.
 //
 // The trust story mirrors the peer cache tier (PR 6): a blob is untrusted
 // input no matter who posted it. psgc.DecodeCheckpoint re-checks the
@@ -23,7 +23,6 @@ import (
 	"psgc"
 	"psgc/internal/fault"
 	"psgc/internal/obs"
-	"psgc/internal/regions"
 )
 
 // registerLive makes a streaming run snapshotable under its trace ID.
@@ -80,7 +79,6 @@ type SnapshotResponse struct {
 	TraceID    string `json:"trace_id"`
 	SourceHash string `json:"source_hash,omitempty"`
 	Collector  string `json:"collector"`
-	Backend    string `json:"backend"`
 	Engine     string `json:"engine"`
 	Steps      int    `json:"steps"`
 	Blob       []byte `json:"blob"`
@@ -99,14 +97,10 @@ type CheckpointedResponse struct {
 
 // ResumeRequest is the POST /resume payload. Blob is a checkpoint as
 // returned by POST /snapshot (or psgc -checkpoint). The zero value of
-// every other field resumes the run exactly as it was: same backend, the
+// every other field resumes the run exactly as it was, with the
 // checkpoint's remaining fuel.
 type ResumeRequest struct {
 	Blob []byte `json:"blob"`
-	// Backend overrides the substrate the run resumes on ("map", "arena");
-	// empty keeps the checkpoint's origin backend. Cross-backend resume is
-	// bit-identical — the heap image is the backend-neutral canonical form.
-	Backend string `json:"backend"`
 	// Fuel / DeadlineMs bound the remaining execution like /run's fields;
 	// both zero inherit the checkpoint's remaining fuel.
 	Fuel       int `json:"fuel"`
@@ -165,7 +159,6 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			TraceID:    req.TraceID,
 			SourceHash: ck.SourceHash,
 			Collector:  ck.Collector.String(),
-			Backend:    ck.Backend.String(),
 			Engine:     ck.Engine.String(),
 			Steps:      ck.Steps,
 			Blob:       blob,
@@ -183,22 +176,12 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // handleResume re-certifies a checkpoint blob and continues the run.
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	reqTrace := s.traceRequest(w, r)
-	if !s.requirePost(w, r) {
+	if !s.requirePost(w, r) || s.rejectBackendQuery(w, r, reqTrace) {
 		return
 	}
 	var req ResumeRequest
 	if !s.decodeWithin(w, r, &req, reqTrace, s.cfg.MaxResumeBytes) {
 		return
-	}
-	if v := r.URL.Query().Get("backend"); v != "" {
-		req.Backend = v
-	}
-	if req.Backend != "" {
-		if _, err := regions.ParseBackend(req.Backend); err != nil {
-			s.writeResponse(w, &response{status: http.StatusBadRequest,
-				body: errorBody{Error: err.Error(), TraceID: reqTrace}})
-			return
-		}
 	}
 	req.CoCheck = flagged(r, "cocheck", req.CoCheck)
 	stream := flagged(r, "stream", req.Stream)
@@ -275,16 +258,7 @@ func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 func (s *Server) doResume(ck *psgc.Checkpoint, req ResumeRequest, traceID string, progress func(psgc.Progress) bool, cp *psgc.Checkpointer) *response {
 	col := ck.Collector
 	hash := ck.SourceHash
-	backend := ck.Backend
-	if req.Backend != "" {
-		b, err := regions.ParseBackend(req.Backend)
-		if err != nil {
-			return &response{status: http.StatusBadRequest, body: errorBody{Error: err.Error(), TraceID: traceID}}
-		}
-		backend = b
-	}
 	opts := psgc.RunOptions{
-		Backend:      backend,
 		Checkpointer: cp,
 		CheckpointMeta: psgc.CheckpointMeta{
 			SourceHash: hash,
@@ -394,7 +368,6 @@ func (s *Server) doResume(ck *psgc.Checkpoint, req ResumeRequest, traceID string
 		Value:           res.Value,
 		Collector:       col.String(),
 		Engine:          engine.String(),
-		Backend:         backend.String(),
 		SourceHash:      hash,
 		Fuel:            opts.Fuel,
 		RunMs:           ms,

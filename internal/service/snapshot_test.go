@@ -1,8 +1,8 @@
 package service
 
 // Tests for the checkpoint/resume surface (PR 10): POST /snapshot pausing
-// a live stream, POST /resume re-certifying and continuing the run on any
-// backend, the double-resume idempotency guard, the checkpoint.corrupt
+// a live stream, POST /resume re-certifying and continuing the run, the
+// double-resume idempotency guard, the checkpoint.corrupt
 // chaos point, the operator endpoints, and the persistent incident log.
 
 import (
@@ -152,15 +152,15 @@ func makeCheckpointBlob(t *testing.T, traceID string) []byte {
 }
 
 // TestSnapshotResumeMigration is the acceptance scenario: a streaming run
-// on the arena backend is paused by POST /snapshot at a step boundary, its
-// stream ends with a "checkpointed" event, and POST /resume continues it
-// on the map backend with a bit-identical result — same value, same
-// machine-step and GC counters as the uninterrupted run.
+// is paused by POST /snapshot at a step boundary, its stream ends with a
+// "checkpointed" event, and POST /resume continues it with a bit-identical
+// result — same value, same machine-step and GC counters as the
+// uninterrupted run.
 func TestSnapshotResumeMigration(t *testing.T) {
 	stallSteps(t, nil)
 	s, ts := newTestServer(t, Config{Workers: 2, QueueDepth: 8})
 
-	// Uninterrupted reference run (map backend).
+	// Uninterrupted reference run.
 	resp, body := postJSON(t, ts.URL+"/run", RunRequest{
 		CompileRequest: CompileRequest{Source: allocHeavy, Collector: "forwarding"},
 		Capacity:       intp(32),
@@ -170,11 +170,10 @@ func TestSnapshotResumeMigration(t *testing.T) {
 	}
 	ref := decode[RunResponse](t, body)
 
-	// Live streaming run on the arena backend.
+	// Live streaming run.
 	stream, trace := startStream(t, ts, RunRequest{
 		CompileRequest: CompileRequest{Source: allocHeavy, Collector: "forwarding"},
 		Capacity:       intp(32),
-		Backend:        "arena",
 		ProgressSteps:  100,
 	})
 	defer stream.Body.Close()
@@ -189,8 +188,8 @@ func TestSnapshotResumeMigration(t *testing.T) {
 		t.Fatalf("snapshot: %d (%s)", sresp.StatusCode, sbody)
 	}
 	snap := decode[SnapshotResponse](t, sbody)
-	if snap.Backend != "arena" || snap.Collector != "forwarding" || snap.Steps <= 0 || len(snap.Blob) == 0 {
-		t.Fatalf("snapshot %+v: want arena/forwarding, positive steps, non-empty blob", snap)
+	if snap.Collector != "forwarding" || snap.Steps <= 0 || len(snap.Blob) == 0 {
+		t.Fatalf("snapshot %+v: want forwarding, positive steps, non-empty blob", snap)
 	}
 	if snap.SourceHash != ref.SourceHash {
 		t.Errorf("snapshot hash %s, want %s", snap.SourceHash, ref.SourceHash)
@@ -214,9 +213,8 @@ func TestSnapshotResumeMigration(t *testing.T) {
 		t.Errorf("checkpointed event %+v does not match snapshot (steps %d, trace %s)", ckd, snap.Steps, trace)
 	}
 
-	// Resume on the other backend: the migration must be invisible in the
-	// result.
-	rresp, rbody := postJSON(t, ts.URL+"/resume", ResumeRequest{Blob: snap.Blob, Backend: "map"})
+	// Resume: the migration must be invisible in the result.
+	rresp, rbody := postJSON(t, ts.URL+"/resume", ResumeRequest{Blob: snap.Blob})
 	if rresp.StatusCode != http.StatusOK {
 		t.Fatalf("resume: %d (%s)", rresp.StatusCode, rbody)
 	}
@@ -229,9 +227,6 @@ func TestSnapshotResumeMigration(t *testing.T) {
 	}
 	if !rr.Resumed || rr.ResumedFromStep != snap.Steps {
 		t.Errorf("resumed/from = %v/%d, want true/%d", rr.Resumed, rr.ResumedFromStep, snap.Steps)
-	}
-	if rr.Backend != "map" {
-		t.Errorf("resumed backend %q, want map", rr.Backend)
 	}
 	if rr.TraceID != trace {
 		t.Errorf("resumed trace %q, want the original run's %q", rr.TraceID, trace)

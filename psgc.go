@@ -351,17 +351,11 @@ type RunOptions struct {
 	// OnDivergence, if non-nil, is invoked at most once per co-checked run
 	// with the first observed divergence.
 	OnDivergence func(Divergence)
-	// Backend selects the memory substrate (default regions.BackendMap).
-	// The co-checker's substitution oracle always runs on the map backend
-	// regardless, so a co-checked arena run validates the arena cell by
-	// cell against the reference implementation.
-	Backend regions.Backend
 	// WrapStore, if non-nil, replaces the machine's memory substrate with
 	// its return value just after construction. The benchmark harness uses
 	// it to interpose regions.NewTrace and record the run's exact op
 	// sequence; the wrapper must preserve observable store behavior. The
-	// co-checker's oracle is never wrapped, and the boxed baseline
-	// (RunBoxed) ignores it — its store carries boxed Values, not Cells.
+	// co-checker's oracle is never wrapped.
 	WrapStore func(regions.Store[gclang.Cell]) regions.Store[gclang.Cell]
 	// CheckpointEvery, if > 0, captures a checkpoint every CheckpointEvery
 	// machine steps and hands it to OnCheckpoint (which is then required).
@@ -380,8 +374,8 @@ type RunOptions struct {
 	Checkpointer *Checkpointer
 	// ResumeFrom resumes the given checkpoint instead of starting fresh.
 	// Most callers use Checkpoint.Resume, which sets this. The checkpoint
-	// dictates the engine; Backend is honored (cross-backend migration);
-	// capacity and growth policy come from the heap image; a zero Fuel
+	// dictates the engine; capacity and growth policy come from the heap
+	// image; a zero Fuel
 	// inherits the checkpoint's remaining fuel. Ghost, CheckEveryStep, and
 	// WrapStore are incompatible with resuming.
 	ResumeFrom *Checkpoint
@@ -434,7 +428,7 @@ var ErrCanceled = errors.New("psgc: run canceled")
 // NewMachine loads the compiled program into a fresh machine. Most
 // callers want Run; NewMachine is for stepping or inspecting states.
 func (c *Compiled) NewMachine(opts RunOptions) *gclang.Machine {
-	m := gclang.NewMachineOn(opts.Backend, c.Collector.Dialect(), c.Prog, opts.Capacity)
+	m := gclang.NewMachine(c.Collector.Dialect(), c.Prog, opts.Capacity)
 	m.Mem.SetAutoGrow(!opts.FixedCapacity)
 	if opts.WrapStore != nil {
 		m.Mem = opts.WrapStore(m.Mem)
@@ -447,7 +441,7 @@ func (c *Compiled) NewMachine(opts RunOptions) *gclang.Machine {
 // machine (the default Run engine). Ghost mode is not available on it; use
 // NewMachine for stepping with Ψ.
 func (c *Compiled) NewEnvMachine(opts RunOptions) *gclang.EnvMachine {
-	m := gclang.NewEnvMachineOn(opts.Backend, c.Collector.Dialect(), c.Prog, opts.Capacity)
+	m := gclang.NewEnvMachine(c.Collector.Dialect(), c.Prog, opts.Capacity)
 	m.Mem.SetAutoGrow(!opts.FixedCapacity)
 	if opts.WrapStore != nil {
 		m.Mem = opts.WrapStore(m.Mem)
@@ -553,7 +547,7 @@ func (c *Compiled) runSubst(opts RunOptions) (Result, error) {
 	collections := 0
 	if ck := opts.ResumeFrom; ck != nil {
 		var err error
-		m, err = gclang.RestoreMachine(opts.Backend, c.Collector.Dialect(), c.Prog, ck.image)
+		m, err = gclang.RestoreMachine(c.Collector.Dialect(), c.Prog, ck.image)
 		if err != nil {
 			return Result{}, fmt.Errorf("psgc: resume: %w", err)
 		}
@@ -628,7 +622,7 @@ func (c *Compiled) runEnv(opts RunOptions) (Result, error) {
 	collections := 0
 	if ck := opts.ResumeFrom; ck != nil {
 		var err error
-		m, err = gclang.RestoreEnvMachine(opts.Backend, c.Collector.Dialect(), c.Prog, ck.image)
+		m, err = gclang.RestoreEnvMachine(c.Collector.Dialect(), c.Prog, ck.image)
 		if err != nil {
 			return Result{}, fmt.Errorf("psgc: resume: %w", err)
 		}
@@ -692,15 +686,7 @@ func (c *Compiled) runEnv(opts RunOptions) (Result, error) {
 	return finishResult(m.Result, m.Steps, collections, m.Mem)
 }
 
-// memStats is the slice of the store surface a Result snapshot needs.
-// Both the packed Store[gclang.Cell] the machines run on and the boxed
-// baseline's Store[gclang.Value] satisfy it.
-type memStats interface {
-	Stats() regions.Stats
-	LiveCells() int
-}
-
-func finishResult(v gclang.Value, steps, collections int, mem memStats) (Result, error) {
+func finishResult(v gclang.Value, steps, collections int, mem regions.Store[gclang.Cell]) (Result, error) {
 	n, ok := v.(gclang.Num)
 	if !ok {
 		return Result{}, fmt.Errorf("psgc: program halted with non-integer %s", v)
@@ -711,53 +697,13 @@ func finishResult(v gclang.Value, steps, collections int, mem memStats) (Result,
 }
 
 // partialResult snapshots an execution's observable statistics.
-func partialResult(steps, collections int, mem memStats) Result {
+func partialResult(steps, collections int, mem regions.Store[gclang.Cell]) Result {
 	return Result{
 		Steps:       steps,
 		Collections: collections,
 		Stats:       mem.Stats(),
 		LiveCells:   mem.LiveCells(),
 	}
-}
-
-// RunBoxed executes the compiled program on the boxed baseline machine
-// (gclang.BoxedEnvMachine): interface-boxed heap cells over
-// regions.Store[Value], the pre-packing representation kept for
-// measurement. It exists so the benchmark harness can put a number on what
-// the packed cells buy (BENCH_9's boxed-vs-packed rows) — the service
-// never calls it. Capacity, FixedCapacity, Fuel, Backend, Progress, and
-// ProgressEvery are honored; ghost mode, co-checking, the observability
-// hooks, and WrapStore do not apply to the baseline.
-func (c *Compiled) RunBoxed(opts RunOptions) (Result, error) {
-	m := gclang.NewBoxedEnvMachineOn(opts.Backend, c.Collector.Dialect(), c.Prog, opts.Capacity)
-	m.Mem.SetAutoGrow(!opts.FixedCapacity)
-	fuel, every := runBudgets(opts)
-	collections := 0
-	for !m.Halted {
-		if fuel <= 0 {
-			return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w after %d steps", ErrOutOfFuel, m.Steps)
-		}
-		fuel--
-		collected := false
-		if a, ok := m.PendingCall(); ok && c.entries[a] {
-			collections++
-			collected = true
-		}
-		if err := m.Step(); err != nil {
-			return Result{}, err
-		}
-		if opts.Progress != nil && (collected || m.Steps%every == 0) {
-			ok := opts.Progress(Progress{
-				Steps:       m.Steps,
-				Collections: collections,
-				LiveCells:   m.Mem.LiveCells(),
-			})
-			if !ok {
-				return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w after %d steps", ErrCanceled, m.Steps)
-			}
-		}
-	}
-	return finishResult(m.Result, m.Steps, collections, m.Mem)
 }
 
 // Interpret runs the source program directly on the reference evaluator

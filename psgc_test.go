@@ -1,7 +1,12 @@
 package psgc
 
 import (
+	"math/rand"
 	"testing"
+
+	"psgc/internal/gen"
+	"psgc/internal/source"
+	"psgc/internal/workload"
 )
 
 var allCollectors = []Collector{Basic, Forwarding, Generational}
@@ -156,5 +161,80 @@ func TestInterpret(t *testing.T) {
 func TestCollectorString(t *testing.T) {
 	if Basic.String() != "basic" || Forwarding.String() != "forwarding" || Generational.String() != "generational" {
 		t.Errorf("Collector.String broken")
+	}
+}
+
+// TestBackendsAgreeOnESuiteWorkloads runs the E-suite surface workloads —
+// the allocation-heavy E1 program and the sharing DAG churn — under every
+// collector and both engines on the heap store, and requires each run to
+// match the reference evaluator and to collect at capacity 32.
+func TestBackendsAgreeOnESuiteWorkloads(t *testing.T) {
+	srcs := map[string]string{
+		"allocHeavy": workload.AllocHeavySrc(40),
+		"sharedDAG":  workload.SharedDAGSrc(12),
+	}
+	for name, src := range srcs {
+		name, src := name, src
+		t.Run(name, func(t *testing.T) {
+			want, err := Interpret(src)
+			if err != nil {
+				t.Fatalf("reference: %v", err)
+			}
+			for _, col := range allCollectors {
+				for _, eng := range []Engine{EngineEnv, EngineSubst} {
+					c, err := Compile(src, col)
+					if err != nil {
+						t.Fatalf("%s: compile: %v", col, err)
+					}
+					res, err := c.Run(RunOptions{Capacity: 32, Engine: eng})
+					if err != nil {
+						t.Fatalf("%s/%v: run: %v", col, eng, err)
+					}
+					if res.Value != want {
+						t.Errorf("%s/%v: value %d, reference %d", col, eng, res.Value, want)
+					}
+					if res.Collections == 0 {
+						t.Errorf("%s/%v: capacity 32 should force collections", col, eng)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestBackendsAgreeOnGenPopulations drives randomly generated well-typed
+// programs through every collector and requires each run to match the
+// source evaluator.
+func TestBackendsAgreeOnGenPopulations(t *testing.T) {
+	r := rand.New(rand.NewSource(23))
+	want := 12
+	if testing.Short() {
+		want = 4
+	}
+	ran := 0
+	for attempts := 0; ran < want && attempts < 200; attempts++ {
+		p := gen.Program(r, gen.DefaultConfig)
+		ev := source.Evaluator{Fuel: 2_000_000}
+		ref, err := ev.RunInt(p)
+		if err != nil {
+			continue
+		}
+		ran++
+		for _, col := range allCollectors {
+			c, err := CompileProgram(p, col)
+			if err != nil {
+				t.Fatalf("population %d (%s): compile: %v", ran, col, err)
+			}
+			res, err := c.Run(RunOptions{Capacity: 16})
+			if err != nil {
+				t.Fatalf("population %d (%s): run: %v", ran, col, err)
+			}
+			if res.Value != ref {
+				t.Errorf("population %d (%s): value %d, reference %d", ran, col, res.Value, ref)
+			}
+		}
+	}
+	if ran < want {
+		t.Fatalf("only %d/%d generated programs terminated", ran, want)
 	}
 }
