@@ -1,47 +1,25 @@
-// Command psgc-bench regenerates the per-experiment tables of DESIGN.md
-// (E1–E9): the behavioural claims of "Principled Scavenging" measured on
-// this reproduction. Run with no arguments for every experiment, or pass
-// experiment ids (e1 … e9) to select.
+// Command psgc-bench regenerates the per-experiment tables of
+// EXPERIMENTS.md (E1–E10): the behavioural claims of "Principled
+// Scavenging" measured on this reproduction. Run with no arguments for
+// every experiment, or pass experiment ids (e1 … e10) to select:
 //
-// Additional modes:
+//	go run ./cmd/psgc-bench e3 e10
 //
-//	-engine env|subst     execution engine for in-process experiments (default env)
-//	-remote URL           drive the experiment suite (E1–E9) through a running
-//	                      psgc-served instance: per-collector / per-engine
-//	                      p50/p90/p99 request latencies next to the behavioural
-//	                      statistics the servers report. Experiments whose
-//	                      instrumentation lives inside the abstract machine
-//	                      (e2, e4, e8) print their local tables with a note.
-//	-gate URL             base URL of a psgc-gate fleet front. Alone it is a
-//	                      remote target like -remote; combined with -remote it
-//	                      adds a direct-vs-gate latency comparison plus the
-//	                      gate's routing counters (retries, rebalances, peer
-//	                      cache tier).
-//	-snapshot PATH        write a JSON snapshot of the E1 workload under both
-//	                      engines (the CI BENCH_4.json artifact) and exit
-//	-snapshot-fleet PATH  write a fleet-mode JSON snapshot (E1 latency
-//	                      percentiles through -gate or -remote, plus the gate's
-//	                      metrics when the target is a gate — the CI
-//	                      BENCH_6.json artifact) and exit
-//	-snapshot-policy PATH  write a JSON snapshot of the always-on profiling
-//	                      overhead on E1 and the adaptive policy measured
-//	                      against every static collector on the mixed
-//	                      workloads (the CI BENCH_8.json artifact) and exit
+// Experiments run in process on the default (environment) engine. An
+// experiment that checks a claim — e7's per-step soundness, e10's
+// profiling-overhead and adaptive-policy bounds — exits non-zero when the
+// claim fails. End-to-end cost through the service and the gate is
+// measured by the benchmark under benchmark/ instead.
 package main
 
 import (
-	"bytes"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"io"
 	"log"
 	"math"
 	"math/rand"
-	"net/http"
 	"os"
 	"sort"
-	"strconv"
+	"strings"
 	"time"
 
 	"psgc"
@@ -50,6 +28,7 @@ import (
 	"psgc/internal/gen"
 	"psgc/internal/obs"
 	"psgc/internal/policy"
+	"psgc/internal/regions"
 	"psgc/internal/source"
 	"psgc/internal/tags"
 	"psgc/internal/workload"
@@ -69,83 +48,30 @@ var experiments = []struct {
 	{"e7", "empirical soundness counts", e7},
 	{"e8", "code size: ITA library vs monomorphization (§2.1)", e8},
 	{"e9", "mutator overhead of the region discipline (Fig. 3)", e9},
+	{"e10", "adaptive vs static policy, always-on profiling cost (§4.1)", e10},
 }
-
-// runEngine is the engine every in-process experiment runs on, from -engine.
-var runEngine psgc.Engine
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("psgc-bench: ")
-	engineName := flag.String("engine", "env", "execution engine for in-process experiments: env or subst")
-	remoteURL := flag.String("remote", "", "base URL of a running psgc-served; drives the experiment suite over HTTP with latency percentiles")
-	gateURL := flag.String("gate", "", "base URL of a psgc-gate fleet front; a remote target on its own, a direct-vs-gate comparison with -remote")
-	flag.IntVar(&remoteRetries, "retries", 4, "retry budget per remote request on 429/503/transport errors (jittered backoff, honors Retry-After)")
-	snapshot := flag.String("snapshot", "", "write a JSON snapshot of the E1 workload under both engines to this path and exit")
-	fleetSnapshot := flag.String("snapshot-fleet", "", "write a fleet-mode JSON snapshot (latency percentiles through -gate or -remote) to this path and exit")
-	policySnapshot := flag.String("snapshot-policy", "", "write a JSON snapshot of profiling overhead and adaptive-vs-static policy to this path and exit")
-	flag.Parse()
-	var err error
-	if runEngine, err = psgc.ParseEngine(*engineName); err != nil {
-		log.Fatal(err)
-	}
-	if *snapshot != "" {
-		if err := writeSnapshot(*snapshot); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *policySnapshot != "" {
-		if err := writePolicySnapshot(*policySnapshot); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
 	want := map[string]bool{}
-	for _, a := range flag.Args() {
+	for _, e := range experiments {
+		want[e.id] = len(os.Args) == 1
+	}
+	for _, a := range os.Args[1:] {
+		if _, ok := want[a]; !ok {
+			log.Fatalf("unknown experiment %q (want e1 … e10)", a)
+		}
 		want[a] = true
 	}
-	if *fleetSnapshot != "" {
-		target := *gateURL
-		if target == "" {
-			target = *remoteURL
-		}
-		if target == "" {
-			log.Fatal("-snapshot-fleet needs a target: pass -gate or -remote")
-		}
-		if err := writeFleetSnapshot(target, *gateURL, *fleetSnapshot); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-	if *remoteURL != "" || *gateURL != "" {
-		base := *remoteURL
-		if base == "" {
-			base = *gateURL
-		}
-		remoteBench(base, want)
-		if *remoteURL != "" && *gateURL != "" {
-			remoteVsGate(*remoteURL, *gateURL)
-		}
-		return
-	}
 	for _, e := range experiments {
-		if len(want) > 0 && !want[e.id] {
+		if !want[e.id] {
 			continue
 		}
 		fmt.Printf("== %s: %s ==\n", e.id, e.name)
 		e.run()
 		fmt.Println()
 	}
-}
-
-// runDriver executes a single-collection workload driver on the selected
-// engine.
-func runDriver(c workload.CollectOnce, fuel int) (workload.RunStats, error) {
-	if runEngine == psgc.EngineSubst {
-		return c.Run(fuel)
-	}
-	return c.RunEnv(fuel)
 }
 
 var allocHeavy = workload.AllocHeavySrc(60)
@@ -165,7 +91,7 @@ do churn (%d, tower 10)
 `, churn)
 }
 
-// e9Progs are the Fig. 3 mutator-overhead programs, also driven remotely.
+// e9Progs are the Fig. 3 mutator-overhead programs.
 var e9Progs = []struct {
 	name string
 	src  string
@@ -189,7 +115,7 @@ func e1() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := c.Run(psgc.RunOptions{Capacity: capacity, Engine: runEngine})
+			res, err := c.Run(psgc.RunOptions{Capacity: capacity})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -209,7 +135,7 @@ func e2() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		st, err := runDriver(c, 2_000_000_000)
+		st, err := c.RunEnv(2_000_000_000)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -218,7 +144,9 @@ func e2() {
 	}
 }
 
-// e3: DAG sharing — the §7 headline table.
+// e3: DAG sharing — the §7 headline table. The last column runs the
+// untrusted Go copying collector with a host-side forwarding table over
+// the same DAG: the count the λGC forwarding collector has to match.
 func e3() {
 	fmt.Println("depth | nodes | basic copies | forwarding copies | go-baseline (fwd) copies")
 	for depth := 2; depth <= 10; depth += 2 {
@@ -226,7 +154,7 @@ func e3() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		bs, err := runDriver(b, 2_000_000_000)
+		bs, err := b.RunEnv(2_000_000_000)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -234,13 +162,33 @@ func e3() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fs, err := runDriver(f, 2_000_000_000)
+		fs, err := f.RunEnv(2_000_000_000)
+		if err != nil {
+			log.Fatal(err)
+		}
+		mem := regions.New[gclang.Value](0)
+		root, tag := goDAG(mem, depth)
+		_, _, gs, err := baseline.CopyRoot(mem, tag, root, true)
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%5d | %5d | %12d | %17d | %d\n",
-			depth, depth+1, bs.Copied, fs.Copied, depth+1)
+			depth, depth+1, bs.Copied, fs.Copied, gs.Copied)
 	}
+}
+
+// goDAG allocates workload.DAG's braided DAG of the given depth in mem:
+// a leaf (1, 2), then depth nodes whose components are both the previous
+// node. It returns the root and its tag.
+func goDAG(mem *regions.Memory[gclang.Value], depth int) (gclang.Value, tags.Tag) {
+	r := mem.NewRegion()
+	a, _ := mem.Put(r, gclang.PairV{L: gclang.Num{N: 1}, R: gclang.Num{N: 2}})
+	node, tag := gclang.Value(gclang.AddrV{Addr: a}), tags.Tag(tags.Prod{L: tags.Int{}, R: tags.Int{}})
+	for i := 0; i < depth; i++ {
+		a, _ = mem.Put(r, gclang.PairV{L: node, R: node})
+		node, tag = gclang.AddrV{Addr: a}, tags.Prod{L: tag, R: tag}
+	}
+	return node, tag
 }
 
 // e4: space overhead of the paper's 1-bit scheme vs the Wang–Appel
@@ -266,7 +214,7 @@ func e5() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			res, err := c.Run(psgc.RunOptions{Capacity: 48, Engine: runEngine})
+			res, err := c.Run(psgc.RunOptions{Capacity: 48})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -370,775 +318,12 @@ func e9() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		res, err := c.Run(psgc.RunOptions{Capacity: 0, Engine: runEngine}) // no collections
+		res, err := c.Run(psgc.RunOptions{Capacity: 0}) // no collections
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-8s | %9d | %4d | %4d\n", p.name, res.Steps, res.Stats.Puts, res.Stats.Gets)
 	}
-}
-
-// ---------------------------------------------------------------------------
-// Remote mode and snapshot emission
-// ---------------------------------------------------------------------------
-
-// remoteRunRequest mirrors the service's RunRequest wire shape (the bench
-// binary deliberately doesn't import internal/service: it exercises the
-// HTTP surface a real client sees).
-type remoteRunRequest struct {
-	Source    string `json:"source"`
-	Collector string `json:"collector"`
-	Engine    string `json:"engine"`
-	Policy    string `json:"policy,omitempty"`
-	Capacity  *int   `json:"capacity,omitempty"`
-	CoCheck   bool   `json:"cocheck,omitempty"`
-}
-
-type remoteRunStats struct {
-	Steps          int `json:"steps"`
-	Collections    int `json:"collections"`
-	Puts           int `json:"puts"`
-	CellsReclaimed int `json:"cells_reclaimed"`
-	MaxLiveCells   int `json:"max_live_cells"`
-}
-
-type remoteRunResponse struct {
-	Value     int            `json:"value"`
-	Engine    string         `json:"engine"`
-	Cached    bool           `json:"cached"`
-	RunMs     float64        `json:"run_ms"`
-	CoChecked bool           `json:"cochecked"`
-	Diverged  bool           `json:"diverged"`
-	Stats     remoteRunStats `json:"stats"`
-}
-
-type remoteCompileRequest struct {
-	Source    string `json:"source"`
-	Collector string `json:"collector"`
-}
-
-type remoteCompileResponse struct {
-	SourceHash string  `json:"source_hash"`
-	Cached     bool    `json:"cached"`
-	CodeBlocks int     `json:"code_blocks"`
-	CompileMs  float64 `json:"compile_ms"`
-}
-
-// remoteRetries is the -retries budget for postWithRetry.
-var remoteRetries int
-
-// postWithRetry posts body to url, retrying transport errors and 429/503
-// responses with jittered exponential backoff. A Retry-After header, when
-// present and parseable, overrides the computed backoff (capped at 5s so a
-// pathological server cannot stall the bench). The rng is seeded by the
-// caller so retry schedules are reproducible run to run.
-func postWithRetry(client *http.Client, url string, body []byte, rng *rand.Rand) (*http.Response, error) {
-	backoff := 100 * time.Millisecond
-	const maxBackoff = 5 * time.Second
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		resp, err := client.Post(url, "application/json", bytes.NewReader(body))
-		switch {
-		case err != nil:
-			lastErr = err
-		case resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable:
-			lastErr = fmt.Errorf("status %d", resp.StatusCode)
-			if secs, err := strconv.Atoi(resp.Header.Get("Retry-After")); err == nil && secs > 0 {
-				if d := time.Duration(secs) * time.Second; d < maxBackoff {
-					backoff = d
-				} else {
-					backoff = maxBackoff
-				}
-			}
-			io.Copy(io.Discard, resp.Body)
-			resp.Body.Close()
-		default:
-			return resp, nil
-		}
-		if attempt >= remoteRetries {
-			return nil, fmt.Errorf("after %d attempts: %w", attempt+1, lastErr)
-		}
-		// Full jitter on top of the exponential base spreads retries from
-		// concurrent bench runs instead of synchronizing them.
-		time.Sleep(backoff + time.Duration(rng.Int63n(int64(backoff))))
-		if backoff *= 2; backoff > maxBackoff {
-			backoff = maxBackoff
-		}
-	}
-}
-
-// percentile returns the p-th percentile (0 < p ≤ 1) of sorted samples.
-func percentile(sorted []float64, p float64) float64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	idx := int(math.Ceil(p*float64(len(sorted)))) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	return sorted[idx]
-}
-
-// remoteTarget wraps one HTTP surface — a psgc-served backend or a
-// psgc-gate fleet front — for latency sampling. Both speak the same
-// /run, /compile, and /batch protocol, so every remote experiment works
-// against either.
-type remoteTarget struct {
-	base   string
-	client *http.Client
-	rng    *rand.Rand
-}
-
-func newRemoteTarget(base string) *remoteTarget {
-	return &remoteTarget{
-		base:   base,
-		client: &http.Client{Timeout: 60 * time.Second},
-		rng:    rand.New(rand.NewSource(1)),
-	}
-}
-
-// runOnce posts one /run request, returning the decoded response, the
-// HTTP status, and the end-to-end request latency in milliseconds
-// (including any retries postWithRetry performed).
-func (t *remoteTarget) runOnce(req remoteRunRequest) (remoteRunResponse, int, float64, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return remoteRunResponse{}, 0, 0, err
-	}
-	t0 := time.Now()
-	resp, err := postWithRetry(t.client, t.base+"/run", body, t.rng)
-	if err != nil {
-		return remoteRunResponse{}, 0, 0, err
-	}
-	defer resp.Body.Close()
-	ms := float64(time.Since(t0)) / float64(time.Millisecond)
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return remoteRunResponse{}, resp.StatusCode, ms, fmt.Errorf("status %d: %s", resp.StatusCode, b)
-	}
-	var rr remoteRunResponse
-	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-		return remoteRunResponse{}, resp.StatusCode, ms, err
-	}
-	return rr, resp.StatusCode, ms, nil
-}
-
-// compileOnce posts one /compile request.
-func (t *remoteTarget) compileOnce(req remoteCompileRequest) (remoteCompileResponse, float64, error) {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return remoteCompileResponse{}, 0, err
-	}
-	t0 := time.Now()
-	resp, err := postWithRetry(t.client, t.base+"/compile", body, t.rng)
-	if err != nil {
-		return remoteCompileResponse{}, 0, err
-	}
-	defer resp.Body.Close()
-	ms := float64(time.Since(t0)) / float64(time.Millisecond)
-	if resp.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(io.LimitReader(resp.Body, 512))
-		return remoteCompileResponse{}, ms, fmt.Errorf("status %d: %s", resp.StatusCode, b)
-	}
-	var cr remoteCompileResponse
-	if err := json.NewDecoder(resp.Body).Decode(&cr); err != nil {
-		return remoteCompileResponse{}, ms, err
-	}
-	return cr, ms, nil
-}
-
-// sample measures warmup+n /run requests, passing every decoded response
-// through check (when non-nil), and returns the sorted post-warmup
-// latencies alongside the last response.
-func (t *remoteTarget) sample(req remoteRunRequest, warmup, n int, check func(remoteRunResponse) error) ([]float64, remoteRunResponse, error) {
-	lat := make([]float64, 0, n)
-	var last remoteRunResponse
-	for i := 0; i < warmup+n; i++ {
-		rr, status, ms, err := t.runOnce(req)
-		if err != nil {
-			return nil, last, fmt.Errorf("request %d (status %d): %w", i, status, err)
-		}
-		if check != nil {
-			if err := check(rr); err != nil {
-				return nil, last, fmt.Errorf("request %d: %w", i, err)
-			}
-		}
-		last = rr
-		if i >= warmup {
-			lat = append(lat, ms)
-		}
-	}
-	sort.Float64s(lat)
-	return lat, last, nil
-}
-
-// pcts reports the p50/p90/p99 of sorted latency samples.
-func pcts(sorted []float64) (p50, p90, p99 float64) {
-	return percentile(sorted, 0.50), percentile(sorted, 0.90), percentile(sorted, 0.99)
-}
-
-// remoteExperiments mirrors the experiments table over the HTTP surface.
-// Experiments whose instrumentation lives inside the abstract machine
-// (continuation-region peaks, forwarding-slot accounting, specialization
-// counts) print their local tables behind an explanatory note instead.
-var remoteExperiments = []struct {
-	id   string
-	name string
-	run  func(*remoteTarget)
-}{
-	{"e1", "basic collection across capacities", remoteE1},
-	{"e2", "continuation-region bound (§6.1)", remoteLocalOnly("the continuation-region peak instruments the abstract machine directly", e2)},
-	{"e3", "sharing: basic vs forwarding (§7)", remoteE3},
-	{"e4", "forwarding space overhead (§7 fn.1)", remoteLocalOnly("a static model, nothing to execute remotely", e4)},
-	{"e5", "generational minor collections (§8)", remoteE5},
-	{"e6", "decidability: compile & typecheck cost (§6.5.1)", remoteE6},
-	{"e7", "empirical soundness via the oracle co-check", remoteE7},
-	{"e8", "code size: ITA library vs monomorphization (§2.1)", remoteLocalOnly("specialization counting inspects compiled code in process", e8)},
-	{"e9", "mutator overhead of the region discipline (Fig. 3)", remoteE9},
-}
-
-// remoteBench drives the experiment suite through a running psgc-served
-// instance (or a psgc-gate front): behavioural statistics from the
-// server's responses next to end-to-end latency percentiles.
-func remoteBench(base string, want map[string]bool) {
-	t := newRemoteTarget(base)
-	fmt.Printf("remote target %s\n\n", base)
-	for _, e := range remoteExperiments {
-		if len(want) > 0 && !want[e.id] {
-			continue
-		}
-		fmt.Printf("== %s (remote): %s ==\n", e.id, e.name)
-		e.run(t)
-		fmt.Println()
-	}
-}
-
-// remoteLocalOnly wraps an in-process experiment for the remote table list.
-func remoteLocalOnly(reason string, run func()) func(*remoteTarget) {
-	return func(*remoteTarget) {
-		fmt.Printf("(in-process only: %s; local table follows)\n", reason)
-		run()
-	}
-}
-
-// remoteE1: the allocation-heavy workload per collector × engine, with the
-// in-process run time of the same program as a reference point.
-func remoteE1(t *remoteTarget) {
-	const (
-		warmup   = 3
-		requests = 30
-		capacity = 32
-	)
-	want, err := psgc.Interpret(allocHeavy)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("%d requests per row after %d warmups, capacity %d\n", requests, warmup, capacity)
-	fmt.Println("collector    | engine | in-proc ms | remote p50 | p90 | p99 | ok")
-	for _, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational} {
-		for _, eng := range []string{"env", "subst"} {
-			// In-process reference number for the same program and engine.
-			c, err := psgc.Compile(allocHeavy, col)
-			if err != nil {
-				log.Fatal(err)
-			}
-			e, _ := psgc.ParseEngine(eng)
-			t0 := time.Now()
-			res, err := c.Run(psgc.RunOptions{Capacity: capacity, Engine: e})
-			if err != nil {
-				log.Fatal(err)
-			}
-			inProcMs := float64(time.Since(t0)) / float64(time.Millisecond)
-			ok := res.Value == want
-
-			cp := capacity
-			lat, _, err := t.sample(remoteRunRequest{
-				Source: allocHeavy, Collector: col.String(), Engine: eng, Capacity: &cp,
-			}, warmup, requests, func(rr remoteRunResponse) error {
-				if rr.Value != want || rr.Engine != eng {
-					ok = false
-				}
-				return nil
-			})
-			if err != nil {
-				log.Fatalf("remote e1: %v", err)
-			}
-			p50, p90, p99 := pcts(lat)
-			fmt.Printf("%-12s | %-6s | %10.3f | %10.3f | %7.3f | %7.3f | %v\n",
-				col, eng, inProcMs, p50, p90, p99, ok)
-		}
-	}
-}
-
-// remoteE3: the §7 sharing claim over the wire. workload.SharedDAGSrc
-// rebuilds a four-pointer fan-in to one shared tower; at a capacity where
-// both collectors perform the same single collection, the basic collector
-// copies the tower once per path and so allocates strictly more.
-func remoteE3(t *remoteTarget) {
-	const (
-		warmup   = 1
-		requests = 8
-	)
-	fmt.Println("churn | capacity | collector  | collections | puts | max live | p50 | p90 | p99 | ok")
-	for _, cfg := range []struct{ churn, capacity int }{{200, 2048}, {400, 4096}} {
-		src := workload.SharedDAGSrc(cfg.churn)
-		want, err := psgc.Interpret(src)
-		if err != nil {
-			log.Fatal(err)
-		}
-		var puts [2]int
-		for i, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding} {
-			cp := cfg.capacity
-			okAll := true
-			lat, last, err := t.sample(remoteRunRequest{
-				Source: src, Collector: col.String(), Engine: "env", Capacity: &cp,
-			}, warmup, requests, func(rr remoteRunResponse) error {
-				okAll = okAll && rr.Value == want
-				return nil
-			})
-			if err != nil {
-				log.Fatalf("remote e3: %v", err)
-			}
-			puts[i] = last.Stats.Puts
-			p50, p90, p99 := pcts(lat)
-			fmt.Printf("%5d | %8d | %-10s | %11d | %4d | %8d | %7.3f | %7.3f | %7.3f | %v\n",
-				cfg.churn, cfg.capacity, col, last.Stats.Collections, last.Stats.Puts,
-				last.Stats.MaxLiveCells, p50, p90, p99, okAll)
-		}
-		fmt.Printf("      -> basic allocated %d more cells than forwarding (sharing lost: the shared tower is copied once per path)\n",
-			puts[0]-puts[1])
-	}
-}
-
-// remoteE5: the generational workload per collector, with latency.
-func remoteE5(t *remoteTarget) {
-	const (
-		warmup   = 1
-		requests = 8
-	)
-	fmt.Println("churn | collector    | collections | puts | reclaimed | p50 | p90 | p99")
-	for _, churn := range []int{40, 160} {
-		src := churnSrc(churn)
-		for _, col := range []psgc.Collector{psgc.Basic, psgc.Generational} {
-			cp := 48
-			lat, last, err := t.sample(remoteRunRequest{
-				Source: src, Collector: col.String(), Engine: "env", Capacity: &cp,
-			}, warmup, requests, nil)
-			if err != nil {
-				log.Fatalf("remote e5: %v", err)
-			}
-			p50, p90, p99 := pcts(lat)
-			fmt.Printf("%5d | %-12s | %11d | %4d | %9d | %7.3f | %7.3f | %7.3f\n",
-				churn, col, last.Stats.Collections, last.Stats.Puts,
-				last.Stats.CellsReclaimed, p50, p90, p99)
-		}
-	}
-}
-
-// remoteE6: compile-and-typecheck cost over the wire. Fresh random
-// programs pay the full pipeline (the server reports its own compile
-// span); repeating the last program shows the compiled-program cache.
-func remoteE6(t *remoteTarget) {
-	r := rand.New(rand.NewSource(42))
-	fmt.Println("max depth | avg program size | fresh | cached | server compile ms p50 | p99 | cached repeat wall ms")
-	for _, cfg := range []gen.Config{
-		{MaxDepth: 3, MaxFuns: 2, Recursion: 3},
-		{MaxDepth: 5, MaxFuns: 3, Recursion: 3},
-		{MaxDepth: 7, MaxFuns: 4, Recursion: 3},
-	} {
-		const programs = 6
-		sizes, cachedHits := 0, 0
-		comp := make([]float64, 0, programs)
-		var lastSrc string
-		for i := 0; i < programs; i++ {
-			p := gen.Program(r, cfg)
-			sizes += source.ProgramSize(p)
-			lastSrc = p.String()
-			cr, _, err := t.compileOnce(remoteCompileRequest{Source: lastSrc, Collector: "basic"})
-			if err != nil {
-				log.Fatalf("remote e6: %v", err)
-			}
-			if cr.Cached {
-				cachedHits++
-				continue
-			}
-			comp = append(comp, cr.CompileMs)
-		}
-		cr, repeatMs, err := t.compileOnce(remoteCompileRequest{Source: lastSrc, Collector: "basic"})
-		if err != nil {
-			log.Fatalf("remote e6 repeat: %v", err)
-		}
-		if !cr.Cached {
-			log.Fatalf("remote e6: repeated compile of an identical program was not served from cache")
-		}
-		sort.Float64s(comp)
-		fmt.Printf("%9d | %16d | %5d | %6d | %21.3f | %8.3f | %.3f\n",
-			cfg.MaxDepth, sizes/programs, len(comp), cachedHits,
-			percentile(comp, 0.50), percentile(comp, 0.99), repeatMs)
-	}
-}
-
-// remoteE7: empirical soundness over the wire — random programs run with
-// the oracle co-check forced (?cocheck equivalent); the local reference
-// evaluator's value must agree with the remote answer, and the server
-// must report zero divergences between its engines.
-func remoteE7(t *remoteTarget) {
-	r := rand.New(rand.NewSource(7))
-	cfg := gen.Config{MaxDepth: 4, MaxFuns: 2, Recursion: 3}
-	programs, states, agree, cochecked, diverged := 0, 0, 0, 0, 0
-	for i := 0; programs < 6 && i < 80; i++ {
-		p := gen.Program(r, cfg)
-		ev := source.Evaluator{Fuel: 30_000}
-		want, err := ev.RunInt(p)
-		if err != nil {
-			continue
-		}
-		cp := 16
-		rr, status, _, err := t.runOnce(remoteRunRequest{
-			Source: p.String(), Collector: "basic", Engine: "env", Capacity: &cp, CoCheck: true,
-		})
-		if err != nil {
-			log.Fatalf("remote e7 (status %d): %v", status, err)
-		}
-		programs++
-		states += rr.Stats.Steps
-		if rr.Value == want {
-			agree++
-		}
-		if rr.CoChecked {
-			cochecked++
-		}
-		if rr.Diverged {
-			diverged++
-		}
-	}
-	fmt.Printf("programs %d | machine states %d | oracle value agreements %d | cochecked %d | divergences %d\n",
-		programs, states, agree, cochecked, diverged)
-}
-
-// remoteE9: the Fig. 3 mutator-overhead programs per engine, collection
-// disabled (capacity 0), with steps and allocation from the server's
-// statistics.
-func remoteE9(t *remoteTarget) {
-	const (
-		warmup   = 2
-		requests = 12
-	)
-	fmt.Println("program  | engine | λGC steps | puts | p50 | p90 | p99")
-	for _, p := range e9Progs {
-		for _, eng := range []string{"env", "subst"} {
-			cp := 0 // disables collection, as in the local table
-			lat, last, err := t.sample(remoteRunRequest{
-				Source: p.src, Collector: "basic", Engine: eng, Capacity: &cp,
-			}, warmup, requests, nil)
-			if err != nil {
-				log.Fatalf("remote e9: %v", err)
-			}
-			p50, p90, p99 := pcts(lat)
-			fmt.Printf("%-8s | %-6s | %9d | %4d | %7.3f | %7.3f | %7.3f\n",
-				p.name, eng, last.Stats.Steps, last.Stats.Puts, p50, p90, p99)
-		}
-	}
-}
-
-// remoteVsGate measures the E1 workload against one backend directly and
-// through the gate, then prints the gate's own routing counters. The gate
-// overhead column is the p50 difference: consistent-hash lookup plus one
-// proxied hop.
-func remoteVsGate(directURL, gateURL string) {
-	const (
-		warmup   = 2
-		requests = 20
-		capacity = 32
-	)
-	want, err := psgc.Interpret(allocHeavy)
-	if err != nil {
-		log.Fatal(err)
-	}
-	direct, via := newRemoteTarget(directURL), newRemoteTarget(gateURL)
-	fmt.Printf("== remote vs gate: E1 workload, %d requests per row ==\n", requests)
-	fmt.Printf("direct %s | gate %s\n", directURL, gateURL)
-	fmt.Println("collector    | engine | direct p50 | p99 | gate p50 | p99 | gate overhead p50")
-	check := func(rr remoteRunResponse) error {
-		if rr.Value != want {
-			return fmt.Errorf("value %d, want %d", rr.Value, want)
-		}
-		return nil
-	}
-	for _, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational} {
-		for _, eng := range []string{"env", "subst"} {
-			cp := capacity
-			req := remoteRunRequest{Source: allocHeavy, Collector: col.String(), Engine: eng, Capacity: &cp}
-			dl, _, err := direct.sample(req, warmup, requests, check)
-			if err != nil {
-				log.Fatalf("direct: %v", err)
-			}
-			gl, _, err := via.sample(req, warmup, requests, check)
-			if err != nil {
-				log.Fatalf("gate: %v", err)
-			}
-			d50, _, d99 := pcts(dl)
-			g50, _, g99 := pcts(gl)
-			fmt.Printf("%-12s | %-6s | %10.3f | %7.3f | %8.3f | %7.3f | %+.3f\n",
-				col, eng, d50, d99, g50, g99, g50-d50)
-		}
-	}
-	snap, err := gateMetricsJSON(gateURL)
-	if err != nil {
-		log.Printf("gate metrics unavailable: %v", err)
-		return
-	}
-	var m struct {
-		Retries   int64 `json:"retries"`
-		Rebal     int64 `json:"ring_rebalances"`
-		PeerCache struct {
-			Hits     int64   `json:"hits"`
-			Misses   int64   `json:"misses"`
-			HitRatio float64 `json:"hit_ratio"`
-		} `json:"peer_cache"`
-		BackendRequests map[string]int64 `json:"backend_requests"`
-	}
-	if err := json.Unmarshal(snap, &m); err != nil {
-		log.Printf("gate metrics: %v", err)
-		return
-	}
-	fmt.Printf("gate counters: retries %d | ring rebalances %d | peer cache %d/%d (hit ratio %.2f)\n",
-		m.Retries, m.Rebal, m.PeerCache.Hits, m.PeerCache.Hits+m.PeerCache.Misses, m.PeerCache.HitRatio)
-	keys := make([]string, 0, len(m.BackendRequests))
-	for k := range m.BackendRequests {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	for _, k := range keys {
-		fmt.Printf("  backend %s: %d requests\n", k, m.BackendRequests[k])
-	}
-}
-
-// gateMetricsJSON fetches a gate's /metrics snapshot as raw JSON.
-func gateMetricsJSON(gateURL string) (json.RawMessage, error) {
-	client := &http.Client{Timeout: 10 * time.Second}
-	resp, err := client.Get(gateURL + "/metrics?format=json")
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("status %d", resp.StatusCode)
-	}
-	return io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-}
-
-// snapshotRow is one E1 configuration measured under one engine.
-type snapshotRow struct {
-	Capacity    int     `json:"capacity"`
-	Collector   string  `json:"collector"`
-	Engine      string  `json:"engine"`
-	Value       int     `json:"value"`
-	ResultOK    bool    `json:"result_ok"`
-	Steps       int     `json:"steps"`
-	Collections int     `json:"collections"`
-	Puts        int     `json:"puts"`
-	Reclaimed   int     `json:"reclaimed"`
-	MaxLive     int     `json:"max_live"`
-	RunMs       float64 `json:"run_ms"`
-}
-
-type snapshotFile struct {
-	Experiment string `json:"experiment"`
-	Workload   string `json:"workload"`
-	// EnvSpeedupGeomean is the geometric mean over configurations of
-	// subst-run-ms / env-run-ms (best of three runs each).
-	EnvSpeedupGeomean float64       `json:"env_speedup_geomean"`
-	Rows              []snapshotRow `json:"rows"`
-}
-
-// writeSnapshot runs the E1 workload under both engines and writes the
-// BENCH_4.json artifact: per-configuration stats plus the headline
-// env-over-subst speedup.
-func writeSnapshot(path string) error {
-	want, err := psgc.Interpret(allocHeavy)
-	if err != nil {
-		return err
-	}
-	snap := snapshotFile{Experiment: "e1", Workload: "allocHeavy (build 60)"}
-	logSum, logN := 0.0, 0
-	for _, capacity := range []int{16, 32, 64, 128} {
-		for _, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational} {
-			c, err := psgc.Compile(allocHeavy, col)
-			if err != nil {
-				return err
-			}
-			var pair [2]float64 // best-of-3 ms, indexed by engine
-			for _, eng := range []psgc.Engine{psgc.EngineEnv, psgc.EngineSubst} {
-				best := math.Inf(1)
-				var res psgc.Result
-				for rep := 0; rep < 3; rep++ {
-					t0 := time.Now()
-					res, err = c.Run(psgc.RunOptions{Capacity: capacity, Engine: eng})
-					if err != nil {
-						return err
-					}
-					if ms := float64(time.Since(t0)) / float64(time.Millisecond); ms < best {
-						best = ms
-					}
-				}
-				pair[eng] = best
-				snap.Rows = append(snap.Rows, snapshotRow{
-					Capacity: capacity, Collector: col.String(), Engine: eng.String(),
-					Value: res.Value, ResultOK: res.Value == want,
-					Steps: res.Steps, Collections: res.Collections,
-					Puts: res.Stats.Puts, Reclaimed: res.Stats.CellsReclaimed,
-					MaxLive: res.Stats.MaxLiveCells, RunMs: best,
-				})
-			}
-			if pair[psgc.EngineEnv] > 0 {
-				logSum += math.Log(pair[psgc.EngineSubst] / pair[psgc.EngineEnv])
-				logN++
-			}
-		}
-	}
-	if logN > 0 {
-		snap.EnvSpeedupGeomean = math.Exp(logSum / float64(logN))
-	}
-	out, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	fmt.Printf("wrote %s: %d rows, env speedup (geomean) %.2fx\n", path, len(snap.Rows), snap.EnvSpeedupGeomean)
-	return nil
-}
-
-// fleetRow is one collector × engine configuration of the fleet snapshot:
-// end-to-end latency percentiles through the fleet front.
-type fleetRow struct {
-	Collector string  `json:"collector"`
-	Engine    string  `json:"engine"`
-	P50Ms     float64 `json:"p50_ms"`
-	P90Ms     float64 `json:"p90_ms"`
-	P99Ms     float64 `json:"p99_ms"`
-	ResultOK  bool    `json:"result_ok"`
-}
-
-type fleetSnapshotFile struct {
-	Experiment string     `json:"experiment"`
-	Target     string     `json:"target"`
-	Workload   string     `json:"workload"`
-	Requests   int        `json:"requests_per_row"`
-	Rows       []fleetRow `json:"rows"`
-	// GateMetrics embeds the gate's /metrics snapshot (routing counters,
-	// peer cache tier) when the snapshot target is a psgc-gate front.
-	GateMetrics json.RawMessage `json:"gate_metrics,omitempty"`
-}
-
-// writeFleetSnapshot drives the E1 workload through target (a psgc-gate
-// front or a bare backend) and writes the BENCH_6.json artifact: latency
-// percentiles per collector × engine, plus the gate's own counters when
-// gateURL is set.
-func writeFleetSnapshot(target, gateURL, path string) error {
-	const (
-		warmup   = 2
-		requests = 20
-		capacity = 32
-	)
-	want, err := psgc.Interpret(allocHeavy)
-	if err != nil {
-		return err
-	}
-	t := newRemoteTarget(target)
-	snap := fleetSnapshotFile{
-		Experiment: "e1-fleet",
-		Target:     target,
-		Workload:   "allocHeavy (build 60)",
-		Requests:   requests,
-	}
-	for _, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational} {
-		for _, eng := range []string{"env", "subst"} {
-			cp := capacity
-			ok := true
-			lat, _, err := t.sample(remoteRunRequest{
-				Source: allocHeavy, Collector: col.String(), Engine: eng, Capacity: &cp,
-			}, warmup, requests, func(rr remoteRunResponse) error {
-				ok = ok && rr.Value == want && rr.Engine == eng
-				return nil
-			})
-			if err != nil {
-				return fmt.Errorf("fleet snapshot %s/%s: %w", col, eng, err)
-			}
-			p50, p90, p99 := pcts(lat)
-			snap.Rows = append(snap.Rows, fleetRow{
-				Collector: col.String(), Engine: eng,
-				P50Ms: p50, P90Ms: p90, P99Ms: p99, ResultOK: ok,
-			})
-		}
-	}
-	if gateURL != "" {
-		gm, err := gateMetricsJSON(gateURL)
-		if err != nil {
-			return fmt.Errorf("gate metrics: %w", err)
-		}
-		snap.GateMetrics = gm
-	}
-	out, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
-	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
-	}
-	worst := 0.0
-	for _, row := range snap.Rows {
-		if row.P99Ms > worst {
-			worst = row.P99Ms
-		}
-	}
-	fmt.Printf("wrote %s: %d rows through %s, worst p99 %.3f ms\n", path, len(snap.Rows), target, worst)
-	return nil
-}
-
-// policyRow is one (workload, variant) measurement for BENCH_8: the three
-// static collectors plus the adaptive policy, every run carrying the
-// always-on profiler the service attaches, timed over interleaved reps.
-type policyRow struct {
-	Workload    string  `json:"workload"`
-	Variant     string  `json:"variant"` // "basic"/"forwarding"/"generational"/"adaptive"
-	Collector   string  `json:"collector"`
-	Capacity    int     `json:"capacity"`
-	Value       int     `json:"value"`
-	ResultOK    bool    `json:"result_ok"`
-	Collections int     `json:"collections"`
-	P50Ms       float64 `json:"p50_ms"`
-	// Reason is the decision rationale, adaptive rows only.
-	Reason string `json:"reason,omitempty"`
-}
-
-type policySnapshotFile struct {
-	Experiment string `json:"experiment"`
-	// SamplingOverheadE1 is profiled-p50 / plain-p50 for the E1 workload
-	// under the basic collector: the cost of leaving the event hook and
-	// profiler on for every request. CI gates this at <= 1.02.
-	SamplingOverheadE1 float64 `json:"sampling_overhead_e1"`
-	PlainP50Ms         float64 `json:"plain_p50_ms"`
-	ProfiledP50Ms      float64 `json:"profiled_p50_ms"`
-	// AdaptiveVsBestStaticGeomean is the geometric mean over workloads of
-	// best-static-p50 / adaptive-p50. 1.0 means adaptive ties the best
-	// static choice per workload; CI gates this at >= 0.95. The adaptive
-	// rows use the decided collector AND capacity — capacity sizing is part
-	// of the policy's job — while statics run at the bench capacity.
-	AdaptiveVsBestStaticGeomean float64 `json:"adaptive_vs_best_static_geomean"`
-	// IdentitiesOK reports that per-run profile totals agree exactly with
-	// the machine counters on every profiled measurement run: steps,
-	// collections, allocs+copies vs puts-code, forwards vs sets, and
-	// cells freed vs reclaimed.
-	IdentitiesOK bool `json:"identities_ok"`
-	// CoCheckOK reports that one co-checked adaptive run per workload
-	// finished with the oracle's value and no divergence.
-	CoCheckOK bool        `json:"cocheck_ok"`
-	Rows      []policyRow `json:"rows"`
 }
 
 // profiledRun times one run with a fresh profiler attached and folds the
@@ -1165,35 +350,35 @@ func profiledRun(c *psgc.Compiled, opts psgc.RunOptions, identitiesOK *bool) (ps
 	return res, ms, nil
 }
 
-// writePolicySnapshot measures the two BENCH_8 claims in process: the
-// always-on profiler is cheap enough to leave on (interleaved profiled vs
-// plain E1 reps), and the adaptive policy's choice of collector and
-// capacity matches or beats every static collector per workload.
-func writePolicySnapshot(path string) error {
+// e10 measures two claims in process: the always-on profiler is cheap
+// enough to leave on (interleaved profiled vs plain E1 reps, sampling
+// overhead ≤ 1.02), and the adaptive policy's choice of collector and
+// capacity matches or beats every static collector per workload
+// (geomean of best-static-p50 / adaptive-p50 ≥ 0.95). Every profiled run
+// must also agree exactly with the machine counters, every run must return
+// the reference value, and one co-checked adaptive run per workload must
+// match the oracle. Any failure is fatal, after the table is printed.
+func e10() {
 	const benchCapacity = 32
-	snap := policySnapshotFile{
-		Experiment:   "e10-policy",
-		IdentitiesOK: true,
-		CoCheckOK:    true,
-	}
+	identitiesOK, cocheckOK, resultsOK := true, true, true
 
 	// Part 1: sampling overhead on E1. Plain and profiled runs interleave
 	// so host-GC drift biases neither side; first round is warmup.
 	c, err := psgc.Compile(allocHeavy, psgc.Basic)
 	if err != nil {
-		return err
+		log.Fatal(err)
 	}
 	const overheadReps = 30
 	var plain, profiled []float64
 	for rep := 0; rep < overheadReps+1; rep++ {
 		t0 := time.Now()
 		if _, err := c.Run(psgc.RunOptions{Capacity: benchCapacity}); err != nil {
-			return err
+			log.Fatal(err)
 		}
 		plainMs := float64(time.Since(t0)) / float64(time.Millisecond)
-		_, profMs, err := profiledRun(c, psgc.RunOptions{Capacity: benchCapacity}, &snap.IdentitiesOK)
+		_, profMs, err := profiledRun(c, psgc.RunOptions{Capacity: benchCapacity}, &identitiesOK)
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		if rep > 0 {
 			plain = append(plain, plainMs)
@@ -1204,10 +389,7 @@ func writePolicySnapshot(path string) error {
 		sort.Float64s(ts)
 		return ts[len(ts)/2]
 	}
-	snap.PlainP50Ms, snap.ProfiledP50Ms = p50(plain), p50(profiled)
-	if snap.PlainP50Ms > 0 {
-		snap.SamplingOverheadE1 = snap.ProfiledP50Ms / snap.PlainP50Ms
-	}
+	overhead := p50(profiled) / p50(plain)
 
 	// Part 2: adaptive vs every static, per workload. The statics also
 	// serve as the profile warm-up the decision reads, mirroring a service
@@ -1221,24 +403,25 @@ func writePolicySnapshot(path string) error {
 	}
 	statics := []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational}
 	const policyReps = 11
-	logSum, logN := 0.0, 0
+	logSum := 0.0
+	fmt.Printf("%-24s %-13s %-12s %5s %7s %7s\n", "workload", "variant", "collector", "cap", "colls", "p50 ms")
 	for _, wl := range workloads {
 		want, err := psgc.Interpret(wl.src)
 		if err != nil {
-			return err
+			log.Fatal(err)
 		}
 		eng := policy.NewEngine(obs.NewProfileStore(4))
 		compiled := map[string]*psgc.Compiled{}
 		for _, col := range statics {
 			cc, err := psgc.Compile(wl.src, col)
 			if err != nil {
-				return err
+				log.Fatal(err)
 			}
 			compiled[col.String()] = cc
 			// Warm the profile store (untimed).
 			prof := cc.Profiler()
 			if _, err := cc.Run(psgc.RunOptions{Capacity: benchCapacity, Profiler: prof}); err != nil {
-				return err
+				log.Fatal(err)
 			}
 			eng.Observe(wl.name, col.String(), prof.Profile())
 		}
@@ -1255,7 +438,7 @@ func writePolicySnapshot(path string) error {
 		cocheckOpts.OnDivergence = func(psgc.Divergence) { diverged = true }
 		res, err := adaptive.Run(cocheckOpts)
 		if err != nil || diverged || res.Value != want {
-			snap.CoCheckOK = false
+			cocheckOK = false
 			fmt.Printf("CO-CHECK FAILURE under adaptive policy on %s: err=%v diverged=%v value=%d want=%d\n",
 				wl.name, err, diverged, res.Value, want)
 		}
@@ -1265,63 +448,63 @@ func writePolicySnapshot(path string) error {
 		values := map[string]psgc.Result{}
 		for rep := 0; rep < policyReps+1; rep++ {
 			for _, col := range statics {
-				res, ms, err := profiledRun(compiled[col.String()], psgc.RunOptions{Capacity: benchCapacity}, &snap.IdentitiesOK)
+				res, ms, err := profiledRun(compiled[col.String()], psgc.RunOptions{Capacity: benchCapacity}, &identitiesOK)
 				if err != nil {
-					return err
+					log.Fatal(err)
 				}
 				if rep > 0 {
 					times[col.String()] = append(times[col.String()], ms)
 				}
 				values[col.String()] = res
 			}
-			res, ms, err := profiledRun(adaptive, adaptiveOpts, &snap.IdentitiesOK)
+			res, ms, err := profiledRun(adaptive, adaptiveOpts, &identitiesOK)
 			if err != nil {
-				return err
+				log.Fatal(err)
 			}
 			if rep > 0 {
 				times["adaptive"] = append(times["adaptive"], ms)
 			}
 			values["adaptive"] = res
 		}
+		row := func(variant, collector string, capacity int, ms float64) {
+			res := values[variant]
+			resultsOK = resultsOK && res.Value == want
+			fmt.Printf("%-24s %-13s %-12s %5d %7d %7.1f\n", wl.name, variant, collector, capacity, res.Collections, ms)
+		}
 		bestStatic := math.Inf(1)
 		for _, col := range statics {
 			ms := p50(times[col.String()])
-			if ms < bestStatic {
-				bestStatic = ms
-			}
-			res := values[col.String()]
-			snap.Rows = append(snap.Rows, policyRow{
-				Workload: wl.name, Variant: col.String(), Collector: col.String(),
-				Capacity: benchCapacity, Value: res.Value, ResultOK: res.Value == want,
-				Collections: res.Collections, P50Ms: ms,
-			})
+			bestStatic = math.Min(bestStatic, ms)
+			row(col.String(), col.String(), benchCapacity, ms)
 		}
 		adaptiveMs := p50(times["adaptive"])
-		resA := values["adaptive"]
-		snap.Rows = append(snap.Rows, policyRow{
-			Workload: wl.name, Variant: "adaptive", Collector: d.Collector,
-			Capacity: d.Capacity, Value: resA.Value, ResultOK: resA.Value == want,
-			Collections: resA.Collections, P50Ms: adaptiveMs, Reason: d.Reason,
-		})
-		if adaptiveMs > 0 {
-			logSum += math.Log(bestStatic / adaptiveMs)
-			logN++
-		}
+		row("adaptive", d.Collector, d.Capacity, adaptiveMs)
+		fmt.Printf("%-24s decision: %s\n", "", d.Reason)
+		logSum += math.Log(bestStatic / adaptiveMs)
 	}
-	if logN > 0 {
-		snap.AdaptiveVsBestStaticGeomean = math.Exp(logSum / float64(logN))
-	}
+	geomean := math.Exp(logSum / float64(len(workloads)))
 
-	out, err := json.MarshalIndent(snap, "", "  ")
-	if err != nil {
-		return err
+	fmt.Println()
+	fmt.Printf("sampling_overhead_e1             %.3fx   (bound: <= 1.02)\n", overhead)
+	fmt.Printf("adaptive_vs_best_static_geomean  %.3fx   (bound: >= 0.95)\n", geomean)
+	fmt.Printf("identities_ok %v   cocheck_ok %v   results_ok %v\n", identitiesOK, cocheckOK, resultsOK)
+	var failed []string
+	if !(overhead <= 1.02) {
+		failed = append(failed, fmt.Sprintf("sampling overhead %.3fx above 1.02", overhead))
 	}
-	out = append(out, '\n')
-	if err := os.WriteFile(path, out, 0o644); err != nil {
-		return err
+	if !(geomean >= 0.95) {
+		failed = append(failed, fmt.Sprintf("adaptive vs best static %.3fx below 0.95", geomean))
 	}
-	fmt.Printf("wrote %s: %d rows, sampling overhead %.3fx, adaptive vs best static (geomean) %.3fx, identities %v, cocheck %v\n",
-		path, len(snap.Rows), snap.SamplingOverheadE1, snap.AdaptiveVsBestStaticGeomean,
-		snap.IdentitiesOK, snap.CoCheckOK)
-	return nil
+	if !identitiesOK {
+		failed = append(failed, "profile/counter identities violated")
+	}
+	if !cocheckOK {
+		failed = append(failed, "adaptive co-check failed")
+	}
+	if !resultsOK {
+		failed = append(failed, "a run returned a wrong value")
+	}
+	if len(failed) > 0 {
+		log.Fatalf("e10: %s", strings.Join(failed, "; "))
+	}
 }

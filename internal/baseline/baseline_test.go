@@ -14,45 +14,54 @@ import (
 
 var pairTag = tags.Prod{L: tags.Int{}, R: tags.Int{}}
 
-// buildDag allocates leaf=(1,2) and root=(leaf,leaf) in a fresh region.
-func buildDag(mem *regions.Memory[gclang.Value]) (gclang.Value, tags.Tag) {
+// buildDag allocates the braided DAG of §7 in a fresh region: a leaf
+// (1, 2), then depth nodes whose components are both the previous node.
+func buildDag(mem *regions.Memory[gclang.Value], depth int) (gclang.Value, tags.Tag) {
 	r := mem.NewRegion()
 	leaf, _ := mem.Put(r, gclang.PairV{L: gclang.Num{N: 1}, R: gclang.Num{N: 2}})
-	root, _ := mem.Put(r, gclang.PairV{L: gclang.AddrV{Addr: leaf}, R: gclang.AddrV{Addr: leaf}})
-	return gclang.AddrV{Addr: root}, tags.Prod{L: pairTag, R: pairTag}
+	node, tag := gclang.Value(gclang.AddrV{Addr: leaf}), tags.Tag(pairTag)
+	for i := 0; i < depth; i++ {
+		a, _ := mem.Put(r, gclang.PairV{L: node, R: node})
+		node, tag = gclang.AddrV{Addr: a}, tags.Prod{L: tag, R: tag}
+	}
+	return node, tag
 }
 
 func TestCopyWithoutForwardingDuplicates(t *testing.T) {
-	mem := regions.New[gclang.Value](0)
-	root, tag := buildDag(mem)
-	_, _, st, err := CopyRoot(mem, tag, root, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Copied != 3 {
-		t.Errorf("copied %d cells, want 3 (leaf duplicated)", st.Copied)
+	for depth := 2; depth <= 10; depth++ {
+		mem := regions.New[gclang.Value](0)
+		root, tag := buildDag(mem, depth)
+		_, _, st, err := CopyRoot(mem, tag, root, false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := 1<<(depth+1) - 1; st.Copied != want {
+			t.Errorf("depth %d: copied %d cells, want %d (one per path)", depth, st.Copied, want)
+		}
 	}
 }
 
 func TestCopyWithForwardingShares(t *testing.T) {
-	mem := regions.New[gclang.Value](0)
-	root, tag := buildDag(mem)
-	nr, to, st, err := CopyRoot(mem, tag, root, true)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Copied != 2 {
-		t.Errorf("copied %d cells, want 2 (sharing preserved)", st.Copied)
-	}
-	// The copied root's components must alias.
-	addr := nr.(gclang.AddrV)
-	if addr.Addr.Region != to {
-		t.Errorf("root not in to-space")
-	}
-	cell, _ := mem.Get(addr.Addr)
-	pair := cell.(gclang.PairV)
-	if pair.L != pair.R {
-		t.Errorf("components no longer alias: %s vs %s", pair.L, pair.R)
+	for depth := 2; depth <= 10; depth++ {
+		mem := regions.New[gclang.Value](0)
+		root, tag := buildDag(mem, depth)
+		nr, to, st, err := CopyRoot(mem, tag, root, true)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Copied != depth+1 {
+			t.Errorf("depth %d: copied %d cells, want %d (one per node)", depth, st.Copied, depth+1)
+		}
+		// The copied root's components must alias.
+		addr := nr.(gclang.AddrV)
+		if addr.Addr.Region != to {
+			t.Errorf("depth %d: root not in to-space", depth)
+		}
+		cell, _ := mem.Get(addr.Addr)
+		pair := cell.(gclang.PairV)
+		if pair.L != pair.R {
+			t.Errorf("depth %d: components no longer alias: %s vs %s", depth, pair.L, pair.R)
+		}
 	}
 }
 

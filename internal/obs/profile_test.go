@@ -10,88 +10,104 @@ import (
 	"psgc/internal/gclang"
 	"psgc/internal/obs"
 	"psgc/internal/regions"
+	"psgc/internal/workload"
 )
 
-// TestProfilerIdentities runs a collector-exercising program with the
-// always-on profiler attached and pins the profile's exact totals to the
-// machine's own counters — the same identities the Recorder tests pin, now
-// for the cheap path.
+// TestProfilerIdentities runs collector-exercising programs (the
+// allocation-heavy chain and E10's shared DAG) with the always-on profiler
+// attached and pins the profile's exact totals to the machine's own
+// counters — the same identities the Recorder tests pin, now for the cheap
+// path.
 func TestProfilerIdentities(t *testing.T) {
+	srcs := []struct{ name, src string }{
+		{"alloc-heavy", allocHeavy},
+		{"shared-dag", workload.SharedDAGSrc(60)},
+	}
 	for _, col := range []psgc.Collector{psgc.Basic, psgc.Forwarding, psgc.Generational} {
 		t.Run(col.String(), func(t *testing.T) {
-			c, err := psgc.Compile(allocHeavy, col)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prof := c.Profiler()
-			res, err := c.Run(psgc.RunOptions{Capacity: 24, Profiler: prof})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if res.Collections == 0 {
-				t.Fatal("capacity 24 should force collections")
-			}
-			rp := prof.Profile()
-
-			if rp.Steps != res.Steps {
-				t.Errorf("profile steps %d, machine says %d", rp.Steps, res.Steps)
-			}
-			codePuts := len(c.Prog.Code)
-			if got, want := rp.Allocs+rp.Copies, res.Stats.Puts-codePuts; got != want {
-				t.Errorf("allocs+copies = %d+%d = %d, puts minus code installs = %d",
-					rp.Allocs, rp.Copies, got, want)
-			}
-			if rp.Forwards != res.Stats.Sets {
-				t.Errorf("forwards %d, machine sets %d", rp.Forwards, res.Stats.Sets)
-			}
-			if rp.CellsFreed != res.Stats.CellsReclaimed {
-				t.Errorf("cells freed %d, machine reclaimed %d", rp.CellsFreed, res.Stats.CellsReclaimed)
-			}
-			if rp.Collections != res.Collections {
-				t.Errorf("%d collections profiled, machine counted %d", rp.Collections, res.Collections)
-			}
-			if rp.MaxLive != res.Stats.MaxLiveCells {
-				t.Errorf("max live %d, machine says %d", rp.MaxLive, res.Stats.MaxLiveCells)
-			}
-			if rp.LiveAtEnd != res.LiveCells {
-				t.Errorf("live at end %d, machine says %d", rp.LiveAtEnd, res.LiveCells)
-			}
-			if col == psgc.Generational && rp.Minor+rp.Major != rp.Collections {
-				t.Errorf("minor %d + major %d != collections %d", rp.Minor, rp.Major, rp.Collections)
-			}
-			if rp.AllocWords < rp.Allocs {
-				t.Errorf("alloc words %d below alloc count %d (every cell is ≥1 word)",
-					rp.AllocWords, rp.Allocs)
-			}
-
-			wantSamples := rp.Collections
-			if wantSamples > obs.ProfileReservoir {
-				wantSamples = obs.ProfileReservoir
-			}
-			if len(rp.Samples) != wantSamples {
-				t.Errorf("%d samples retained, want %d", len(rp.Samples), wantSamples)
-			}
-			var copies int
-			for _, s := range rp.Samples {
-				if s.StartStep > s.EndStep {
-					t.Errorf("sample spans steps %d-%d", s.StartStep, s.EndStep)
-				}
-				if s.Entry == "" {
-					t.Errorf("sample with empty entry: %+v", s)
-				}
-				copies += s.Copies
-			}
-			// With every collection retained, sample sums equal the totals.
-			if rp.Collections <= obs.ProfileReservoir && copies != rp.Copies {
-				t.Errorf("sample copies sum %d, profile total %d", copies, rp.Copies)
-			}
-			if pct := rp.SurvivalPct(); pct < 0 || pct > 100 {
-				t.Errorf("survival %f%% out of range", pct)
-			}
-			if _, err := json.Marshal(rp); err != nil {
-				t.Errorf("profile does not marshal: %v", err)
+			for _, src := range srcs {
+				t.Run(src.name, func(t *testing.T) {
+					profilerIdentities(t, col, src.src)
+				})
 			}
 		})
+	}
+}
+
+// profilerIdentities runs src under col at a capacity that forces
+// collections and checks one profile against the machine counters.
+func profilerIdentities(t *testing.T, col psgc.Collector, src string) {
+	c, err := psgc.Compile(src, col)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof := c.Profiler()
+	res, err := c.Run(psgc.RunOptions{Capacity: 24, Profiler: prof})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Collections == 0 {
+		t.Fatal("capacity 24 should force collections")
+	}
+	rp := prof.Profile()
+
+	if rp.Steps != res.Steps {
+		t.Errorf("profile steps %d, machine says %d", rp.Steps, res.Steps)
+	}
+	codePuts := len(c.Prog.Code)
+	if got, want := rp.Allocs+rp.Copies, res.Stats.Puts-codePuts; got != want {
+		t.Errorf("allocs+copies = %d+%d = %d, puts minus code installs = %d",
+			rp.Allocs, rp.Copies, got, want)
+	}
+	if rp.Forwards != res.Stats.Sets {
+		t.Errorf("forwards %d, machine sets %d", rp.Forwards, res.Stats.Sets)
+	}
+	if rp.CellsFreed != res.Stats.CellsReclaimed {
+		t.Errorf("cells freed %d, machine reclaimed %d", rp.CellsFreed, res.Stats.CellsReclaimed)
+	}
+	if rp.Collections != res.Collections {
+		t.Errorf("%d collections profiled, machine counted %d", rp.Collections, res.Collections)
+	}
+	if rp.MaxLive != res.Stats.MaxLiveCells {
+		t.Errorf("max live %d, machine says %d", rp.MaxLive, res.Stats.MaxLiveCells)
+	}
+	if rp.LiveAtEnd != res.LiveCells {
+		t.Errorf("live at end %d, machine says %d", rp.LiveAtEnd, res.LiveCells)
+	}
+	if col == psgc.Generational && rp.Minor+rp.Major != rp.Collections {
+		t.Errorf("minor %d + major %d != collections %d", rp.Minor, rp.Major, rp.Collections)
+	}
+	if rp.AllocWords < rp.Allocs {
+		t.Errorf("alloc words %d below alloc count %d (every cell is ≥1 word)",
+			rp.AllocWords, rp.Allocs)
+	}
+
+	wantSamples := rp.Collections
+	if wantSamples > obs.ProfileReservoir {
+		wantSamples = obs.ProfileReservoir
+	}
+	if len(rp.Samples) != wantSamples {
+		t.Errorf("%d samples retained, want %d", len(rp.Samples), wantSamples)
+	}
+	var copies int
+	for _, s := range rp.Samples {
+		if s.StartStep > s.EndStep {
+			t.Errorf("sample spans steps %d-%d", s.StartStep, s.EndStep)
+		}
+		if s.Entry == "" {
+			t.Errorf("sample with empty entry: %+v", s)
+		}
+		copies += s.Copies
+	}
+	// With every collection retained, sample sums equal the totals.
+	if rp.Collections <= obs.ProfileReservoir && copies != rp.Copies {
+		t.Errorf("sample copies sum %d, profile total %d", copies, rp.Copies)
+	}
+	if pct := rp.SurvivalPct(); pct < 0 || pct > 100 {
+		t.Errorf("survival %f%% out of range", pct)
+	}
+	if _, err := json.Marshal(rp); err != nil {
+		t.Errorf("profile does not marshal: %v", err)
 	}
 }
 
