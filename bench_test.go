@@ -332,7 +332,7 @@ func benchEnvVsSubst(b *testing.B, d gclang.Dialect, shape workload.Shape, size 
 	b.Run("subst", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m := gclang.NewMachine(c.Dialect, c.Prog, 0)
-			if _, err := m.Run(2_000_000_000); err != nil {
+			if _, err := gclang.Run(m, 2_000_000_000); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -340,7 +340,7 @@ func benchEnvVsSubst(b *testing.B, d gclang.Dialect, shape workload.Shape, size 
 	b.Run("env", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			m := gclang.NewEnvMachine(c.Dialect, c.Prog, 0)
-			if _, err := m.Run(2_000_000_000); err != nil {
+			if _, err := gclang.Run(m, 2_000_000_000); err != nil {
 				b.Fatal(err)
 			}
 		}

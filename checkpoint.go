@@ -119,7 +119,7 @@ func DecodeCheckpoint(data []byte) (*Checkpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("psgc: decode checkpoint: %w", err)
 	}
-	eng, err := ParseEngine(s.Engine)
+	eng, err := parseEngine(s.Engine)
 	if err != nil {
 		return nil, fmt.Errorf("psgc: decode checkpoint: %w", err)
 	}
@@ -214,9 +214,22 @@ func (cp *Checkpointer) deliver(ck *Checkpoint) {
 	}
 }
 
-// newCheckpoint assembles a Checkpoint around a freshly captured machine
-// image.
-func (c *Compiled) newCheckpoint(img gclang.MachineImage, eng Engine, opts *RunOptions, collections, fuelLeft int) *Checkpoint {
+// capture checkpoints a run at a step boundary. While a co-check shadow
+// is alive its env image is captured (the resumable common case);
+// otherwise — a plain run, or a co-checked one after a divergence — the
+// primary machine's.
+func (c *Compiled) capture(m gclang.Stepper, shadow *gclang.EnvMachine, opts *RunOptions, collections, fuelLeft int) (*Checkpoint, error) {
+	if shadow != nil {
+		m = shadow
+	}
+	img, err := m.Image()
+	if err != nil {
+		return nil, fmt.Errorf("psgc: checkpoint: %w", err)
+	}
+	eng := EngineSubst
+	if _, ok := m.(*gclang.EnvMachine); ok {
+		eng = EngineEnv
+	}
 	ck := &Checkpoint{
 		SourceHash:    opts.CheckpointMeta.SourceHash,
 		TraceID:       opts.CheckpointMeta.TraceID,
@@ -232,36 +245,5 @@ func (c *Compiled) newCheckpoint(img gclang.MachineImage, eng Engine, opts *RunO
 		pi := opts.Profiler.Image()
 		ck.profiler = &pi
 	}
-	return ck
-}
-
-func (c *Compiled) captureEnv(m *gclang.EnvMachine, opts *RunOptions, collections, fuelLeft int) (*Checkpoint, error) {
-	img, err := m.Image()
-	if err != nil {
-		return nil, fmt.Errorf("psgc: checkpoint: %w", err)
-	}
-	return c.newCheckpoint(img, EngineEnv, opts, collections, fuelLeft), nil
-}
-
-func (c *Compiled) captureSubst(m *gclang.Machine, opts *RunOptions, collections, fuelLeft int) (*Checkpoint, error) {
-	img, err := m.Image()
-	if err != nil {
-		return nil, fmt.Errorf("psgc: checkpoint: %w", err)
-	}
-	return c.newCheckpoint(img, EngineSubst, opts, collections, fuelLeft), nil
-}
-
-// restoreProfiler replays the checkpoint's profiler aggregate into the
-// profiler attached to a resumed run, so the resumed profile — including
-// the reservoir sampler's exact state — continues where the original left
-// off.
-func restoreProfiler(opts *RunOptions) error {
-	ck := opts.ResumeFrom
-	if ck == nil || opts.Profiler == nil || ck.profiler == nil {
-		return nil
-	}
-	if err := opts.Profiler.Restore(*ck.profiler); err != nil {
-		return fmt.Errorf("psgc: resume profiler: %w", err)
-	}
-	return nil
+	return ck, nil
 }

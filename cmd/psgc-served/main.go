@@ -24,7 +24,6 @@
 //	-shed-threshold F     queue fraction at which trace/stream requests are shed (default 0.75, negative disables)
 //	-chaos spec           install fault injection, e.g. "worker.latency=0.1:5ms,machine.corrupt=0.01"
 //	-chaos-seed N         deterministic seed for the chaos registry (default 1)
-//	-engine name          default /run execution engine: "env" or "subst" (default env)
 //	-policy name          default /run collector policy: "static" or "adaptive" (default static)
 //	-profile-cap N        program-profile store capacity in source hashes (default 1024)
 //	-peer url             gate peer-fetch endpoint for the fleet cache tier (off by default)
@@ -73,7 +72,6 @@ func main() {
 		chaosSpec     = flag.String("chaos", "", `fault-injection spec, "point=prob[:delay],..." (e.g. "worker.latency=0.1:5ms,machine.corrupt=0.01")`)
 		chaosSeed     = flag.Int64("chaos-seed", 1, "deterministic seed for the chaos registry")
 
-		engine     = flag.String("engine", "env", `default execution engine for /run: "env" or "subst"`)
 		defPolicy  = flag.String("policy", "static", `default collector policy for /run: "static" or "adaptive"`)
 		profileCap = flag.Int("profile-cap", 0, "program-profile store capacity in source hashes (0 = default 1024)")
 		peerURL    = flag.String("peer", "", "gate peer-fetch endpoint for the fleet cache tier (e.g. http://gate:8371/peer/fetch; empty disables)")
@@ -123,7 +121,6 @@ func main() {
 		CoCheckSample:   *cocheckSample,
 		WatchdogMs:      *watchdogMs,
 		ShedThreshold:   *shedThreshold,
-		DefaultEngine:   *engine,
 		DefaultPolicy:   *defPolicy,
 		ProfileCapacity: *profileCap,
 		PeerFetchURL:    *peerURL,

@@ -11,7 +11,6 @@
 //
 //	-gc basic|forwarding|generational    collector (default basic)
 //	-policy static|adaptive              static uses -gc; adaptive profiles a pilot run, then decides
-//	-engine env|subst                    execution engine (default env)
 //	-capacity N                          region capacity triggering GC (default 64; 0 = never collect)
 //	-fixed                               disable heap growth
 //	-check                               re-check machine-state well-formedness every step
@@ -73,10 +72,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		gcName    = fs.String("gc", "basic", "collector: basic, forwarding, or generational")
 		polName   = fs.String("policy", "static", "collector policy: static (use -gc as given) or adaptive (profile a pilot run, then decide collector and capacity)")
-		engine    = fs.String("engine", "env", "execution engine: env (environment machine) or subst (substitution oracle; -check implies subst)")
 		capacity  = fs.Int("capacity", 64, "region capacity at which ifgc triggers a collection (0 disables)")
 		fixed     = fs.Bool("fixed", false, "disable the survivor-driven heap growth policy")
-		check     = fs.Bool("check", false, "re-check machine-state well-formedness after every step (slow)")
+		check     = fs.Bool("check", false, "re-check machine-state well-formedness after every step (slow; runs on the substitution machine)")
 		stats     = fs.Bool("stats", false, "print memory statistics")
 		show      = fs.String("show", "", "print an intermediate form (source, cps, clos, gc) and exit")
 		expr      = fs.String("e", "", "inline program text instead of a file")
@@ -111,12 +109,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer fault.Install(nil)
 	}
 
-	// applyCheckpointFlags wires -checkpoint/-checkpoint-every/-checkpoint-stop
-	// into run options; ckptErr carries an encode/write failure out of the
-	// callback. Blobs are written via a temp file and rename so a kill
-	// mid-write never leaves a torn checkpoint under the final name.
-	var ckptErr error
-	applyCheckpointFlags := func(opts *psgc.RunOptions) {
+	// applyRunFlags wires -cocheck and -checkpoint/-checkpoint-every/
+	// -checkpoint-stop into run options, fresh or resumed; divergence and
+	// ckptErr carry a co-check divergence and a checkpoint encode/write
+	// failure out of the callbacks. Blobs are written via a temp file and
+	// rename so a kill mid-write never leaves a torn checkpoint under the
+	// final name.
+	var (
+		divergence *psgc.Divergence
+		ckptErr    error
+	)
+	applyRunFlags := func(opts *psgc.RunOptions) {
+		if *cocheck {
+			opts.CoCheck = true
+			opts.OnDivergence = func(d psgc.Divergence) { divergence = &d }
+		}
 		if *ckptFile == "" {
 			return
 		}
@@ -141,26 +148,26 @@ func run(args []string, stdout, stderr io.Writer) int {
 			return !*ckptStop
 		}
 	}
-	// finish prints the outcome shared by fresh and resumed runs; a
-	// checkpoint stop is a pause, not a failure.
-	finish := func(res psgc.Result, err error) int {
-		if ckptErr != nil {
-			return fail(fmt.Errorf("write checkpoint: %w", ckptErr))
+	// settle handles the outcomes fresh and resumed runs share and reports
+	// whether it did; only a clean finish is left to the caller to print.
+	// A checkpoint stop is a pause, not a failure. After a co-check
+	// divergence the printed value is the oracle's and therefore correct,
+	// but the divergence is a bug worth a hard failure in scripts.
+	settle := func(res psgc.Result, err error) (int, bool) {
+		switch {
+		case ckptErr != nil:
+			return fail(fmt.Errorf("write checkpoint: %w", ckptErr)), true
+		case errors.Is(err, psgc.ErrCheckpointed):
+			fmt.Fprintf(stderr, "psgc: run paused at step %d (resume with -resume %s)\n", res.Steps, *ckptFile)
+			return 0, true
+		case err != nil:
+			return fail(err), true
+		case divergence != nil:
+			fmt.Fprintln(stdout, res.Value)
+			fmt.Fprintf(stderr, "psgc: engine divergence: %s\n", divergence)
+			return 1, true
 		}
-		if err != nil {
-			if errors.Is(err, psgc.ErrCheckpointed) {
-				fmt.Fprintf(stderr, "psgc: run paused at step %d (resume with -resume %s)\n", res.Steps, *ckptFile)
-				return 0
-			}
-			return fail(err)
-		}
-		fmt.Fprintln(stdout, res.Value)
-		if *stats {
-			fmt.Fprintf(stderr, "steps:       %d\n", res.Steps)
-			fmt.Fprintf(stderr, "collections: %d\n", res.Collections)
-			fmt.Fprintf(stderr, "puts:        %d\n", res.Stats.Puts)
-		}
-		return 0
+		return 0, false
 	}
 
 	if *resumePth != "" {
@@ -175,10 +182,20 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if err != nil {
 			return fail(err)
 		}
-		opts := psgc.RunOptions{CoCheck: *cocheck,
+		opts := psgc.RunOptions{
 			CheckpointMeta: psgc.CheckpointMeta{SourceHash: ck.SourceHash, TraceID: ck.TraceID}}
-		applyCheckpointFlags(&opts)
-		return finish(ck.Resume(opts))
+		applyRunFlags(&opts)
+		res, err := ck.Resume(opts)
+		if code, done := settle(res, err); done {
+			return code
+		}
+		fmt.Fprintln(stdout, res.Value)
+		if *stats {
+			fmt.Fprintf(stderr, "steps:       %d\n", res.Steps)
+			fmt.Fprintf(stderr, "collections: %d\n", res.Collections)
+			fmt.Fprintf(stderr, "puts:        %d\n", res.Stats.Puts)
+		}
+		return 0
 	}
 
 	var src string
@@ -226,10 +243,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail(err)
 	}
-	eng, err := psgc.ParseEngine(*engine)
-	if err != nil {
-		return fail(err)
-	}
 
 	// -policy adaptive: run a profiled pilot with the fallback collector,
 	// feed its profile to the policy engine, and let the decision pick the
@@ -264,17 +277,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		Capacity:       runCapacity,
 		FixedCapacity:  *fixed,
 		CheckEveryStep: *check,
-		Engine:         eng,
 		Policy:         pol,
 		Decision:       decision,
 		CheckpointMeta: psgc.CheckpointMeta{SourceHash: fmt.Sprintf("%x", sha256.Sum256([]byte(src)))},
 	}
-	applyCheckpointFlags(&opts)
-	var divergence *psgc.Divergence
-	if *cocheck {
-		opts.CoCheck = true
-		opts.OnDivergence = func(d psgc.Divergence) { divergence = &d }
-	}
+	applyRunFlags(&opts)
 	var rec *obs.Recorder
 	if tracing {
 		rec = compiled.Recorder()
@@ -282,22 +289,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		opts.Recorder = rec
 	}
 	res, err := compiled.Run(opts)
-	if err != nil || ckptErr != nil {
-		if ckptErr != nil {
-			return fail(fmt.Errorf("write checkpoint: %w", ckptErr))
-		}
-		if errors.Is(err, psgc.ErrCheckpointed) {
-			fmt.Fprintf(stderr, "psgc: run paused at step %d (resume with -resume %s)\n", res.Steps, *ckptFile)
-			return 0
-		}
-		return fail(err)
-	}
-	if divergence != nil {
-		// The printed value is the oracle's and therefore correct, but an
-		// engine divergence is a bug worth a hard failure in scripts.
-		fmt.Fprintln(stdout, res.Value)
-		fmt.Fprintf(stderr, "psgc: engine divergence: %s\n", divergence)
-		return 1
+	if code, done := settle(res, err); done {
+		return code
 	}
 	if *traceJSON {
 		out := struct {

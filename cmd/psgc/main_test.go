@@ -208,6 +208,28 @@ func TestCoCheckDivergenceCLI(t *testing.T) {
 	}
 }
 
+// TestCoCheckDivergenceResumeCLI: a co-checked resume reports a divergence
+// exactly like a fresh co-checked run — the oracle's value on stdout, the
+// divergence on stderr, exit 1.
+func TestCoCheckDivergenceResumeCLI(t *testing.T) {
+	blob := filepath.Join(t.TempDir(), "run.ckpt")
+	code, _, errOut := runCLI(t, "-capacity", "40",
+		"-checkpoint", blob, "-checkpoint-every", "500", "-checkpoint-stop", "-e", buildChainSrc)
+	if code != 0 {
+		t.Fatalf("checkpoint run: exit %d, stderr %q", code, errOut)
+	}
+	code, out, errOut := runCLI(t, "-chaos", "machine.corrupt=1", "-cocheck", "-resume", blob)
+	if code != 1 {
+		t.Fatalf("exit %d (stderr %q), want 1", code, errOut)
+	}
+	if strings.TrimSpace(out) != "465" {
+		t.Errorf("output %q, want the oracle's 465", out)
+	}
+	if !strings.Contains(errOut, "engine divergence") {
+		t.Errorf("stderr %q does not report the divergence", errOut)
+	}
+}
+
 // TestChaosSpecRejectedCLI pins the error path for malformed -chaos specs.
 func TestChaosSpecRejectedCLI(t *testing.T) {
 	code, _, errOut := runCLI(t, "-chaos", "no.such.point=1", "-e", "1 + 2")

@@ -20,138 +20,27 @@ func (d Divergence) String() string {
 	return fmt.Sprintf("diverged at step %d: %s", d.Step, d.Detail)
 }
 
-// runCoChecked steps the environment machine in lockstep with the
-// substitution oracle, comparing the observables the differential test
-// suite pins: the pending collector call before each step, step counts,
-// halt status, the full regions.Stats counters after each step, and — at
-// halt — the final value and every heap cell.
-//
-// The oracle is authoritative. On the first disagreement (including an
-// env-machine step error, which injected faults can produce) the shadow
-// env machine is abandoned, opts.OnDivergence is invoked, and the run
-// continues on the oracle alone; the returned Result is always the
-// oracle's. The Recorder, Progress callbacks, and collection counting all
-// observe the oracle, so a diverging shadow cannot pollute the timeline.
-func (c *Compiled) runCoChecked(opts RunOptions) (Result, error) {
-	var oracle *gclang.Machine
-	var shadow *gclang.EnvMachine
-	collections := 0
-	if ck := opts.ResumeFrom; ck != nil {
-		// Resuming co-checked: both engines are rebuilt from the *same*
-		// image — the shadow directly, the oracle by folding the image's
-		// environment into the control term — so they start from the
-		// identical configuration and the per-step counter comparison
-		// stays exact across the checkpoint.
-		var err error
-		shadow, err = gclang.RestoreEnvMachine(c.Collector.Dialect(), c.Prog, ck.image)
-		if err != nil {
-			return Result{}, fmt.Errorf("psgc: resume: %w", err)
-		}
-		oracle, err = gclang.RestoreOracle(c.Prog, ck.image)
-		if err != nil {
-			return Result{}, fmt.Errorf("psgc: resume oracle: %w", err)
-		}
-		collections = ck.Collections
-	} else {
-		oracleOpts := opts
-		oracleOpts.WrapStore = nil // a trace recorder watches the shadow, not the oracle
-		oracle = c.NewMachine(oracleOpts)
-		shadow = c.NewEnvMachine(opts)
+// diverged reports a co-check divergence to OnDivergence, if set.
+func (o *RunOptions) diverged(step int, detail string) {
+	if o.OnDivergence != nil {
+		o.OnDivergence(Divergence{Step: step, Detail: detail})
 	}
-	if opts.Recorder != nil {
-		opts.Recorder.Attach(oracle)
+}
+
+// stepShadow steps the co-check shadow after the oracle has stepped and
+// returns a non-empty description of the first disagreement.
+func stepShadow(oracle *gclang.Machine, shadow *gclang.EnvMachine) string {
+	if err := shadow.Step(); err != nil {
+		return fmt.Sprintf("env machine error: %v", err)
 	}
-	if err := restoreProfiler(&opts); err != nil {
-		return Result{}, err
+	if shadow.Steps != oracle.Steps || shadow.Halted != oracle.Halted {
+		return fmt.Sprintf("step/halt: oracle (%d,%v) env (%d,%v)",
+			oracle.Steps, oracle.Halted, shadow.Steps, shadow.Halted)
 	}
-	if opts.Profiler != nil {
-		opts.Profiler.Attach(oracle)
+	if os, ss := oracle.Mem.Stats(), shadow.Mem.Stats(); os != ss {
+		return fmt.Sprintf("memory counters: oracle %+v env %+v", os, ss)
 	}
-	// capture checkpoints from the shadow while it is alive (env-engine
-	// image, the resumable common case); after a divergence the oracle is
-	// all that is left, so its subst image is captured.
-	capture := func(fuelLeft int) (*Checkpoint, error) {
-		if shadow != nil {
-			return c.captureEnv(shadow, &opts, collections, fuelLeft)
-		}
-		return c.captureSubst(oracle, &opts, collections, fuelLeft)
-	}
-	fuel, every := runBudgets(opts)
-	lastCk := oracle.Steps
-	diverge := func(step int, format string, args ...any) {
-		shadow = nil
-		if opts.OnDivergence != nil {
-			opts.OnDivergence(Divergence{Step: step, Detail: fmt.Sprintf(format, args...)})
-		}
-	}
-	for !oracle.Halted {
-		if opts.Checkpointer != nil && opts.Checkpointer.take() {
-			ck, err := capture(fuel)
-			if err != nil {
-				return Result{}, err
-			}
-			opts.Checkpointer.deliver(ck)
-			return partialResult(oracle.Steps, collections, oracle.Mem), fmt.Errorf("%w at step %d", ErrCheckpointed, oracle.Steps)
-		}
-		if opts.CheckpointEvery > 0 && oracle.Steps != lastCk && oracle.Steps%opts.CheckpointEvery == 0 {
-			lastCk = oracle.Steps
-			ck, err := capture(fuel)
-			if err != nil {
-				return Result{}, err
-			}
-			if !opts.OnCheckpoint(ck) {
-				return partialResult(oracle.Steps, collections, oracle.Mem), fmt.Errorf("%w at step %d", ErrCheckpointed, oracle.Steps)
-			}
-		}
-		if fuel <= 0 {
-			return partialResult(oracle.Steps, collections, oracle.Mem), fmt.Errorf("%w after %d steps", ErrOutOfFuel, oracle.Steps)
-		}
-		fuel--
-		collected := false
-		oa, oPending := oracle.PendingCall()
-		if oPending && c.entries[oa] {
-			collections++
-			collected = true
-		}
-		if shadow != nil {
-			if sa, sPending := shadow.PendingCall(); sPending != oPending || sa != oa {
-				diverge(oracle.Steps, "pending call: oracle (%v,%v) env (%v,%v)", oa, oPending, sa, sPending)
-			}
-		}
-		if err := oracle.Step(); err != nil {
-			return Result{}, err
-		}
-		if shadow != nil {
-			if err := shadow.Step(); err != nil {
-				diverge(oracle.Steps, "env machine error: %v", err)
-			} else if shadow.Steps != oracle.Steps || shadow.Halted != oracle.Halted {
-				diverge(oracle.Steps, "step/halt: oracle (%d,%v) env (%d,%v)",
-					oracle.Steps, oracle.Halted, shadow.Steps, shadow.Halted)
-			} else if shadow.Mem.Stats() != oracle.Mem.Stats() {
-				diverge(oracle.Steps, "memory counters: oracle %+v env %+v", oracle.Mem.Stats(), shadow.Mem.Stats())
-			}
-		}
-		if opts.Progress != nil && (collected || oracle.Steps%every == 0) {
-			ok := opts.Progress(Progress{
-				Steps:       oracle.Steps,
-				Collections: collections,
-				LiveCells:   oracle.Mem.LiveCells(),
-			})
-			if !ok {
-				return partialResult(oracle.Steps, collections, oracle.Mem), fmt.Errorf("%w after %d steps", ErrCanceled, oracle.Steps)
-			}
-		}
-	}
-	// Snapshot the result before the heap walk: compareHalt reads cells
-	// through Mem.Get, which counts, and the reported Stats must match a
-	// plain run's.
-	res, err := finishResult(oracle.Result, oracle.Steps, collections, oracle.Mem)
-	if shadow != nil {
-		if detail := compareHalt(oracle, shadow); detail != "" {
-			diverge(oracle.Steps, "%s", detail)
-		}
-	}
-	return res, err
+	return ""
 }
 
 // compareHalt compares the halted machines' results and full heaps,

@@ -77,7 +77,7 @@ func collectOnce(depth int, forw bool) (copied, steps int) {
 		log.Fatalf("collector program does not typecheck: %v", err)
 	}
 	m := gclang.NewMachine(dialect, elab, 0)
-	if _, err := m.Run(500_000_000); err != nil {
+	if _, err := gclang.Run(m, 500_000_000); err != nil {
 		log.Fatal(err)
 	}
 	// After collection only the to-space survives (plus cd).

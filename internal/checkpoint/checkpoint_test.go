@@ -60,7 +60,7 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := res.Run(2_000_000); err != nil {
+	if _, err := gclang.Run(res, 2_000_000); err != nil {
 		t.Fatal(err)
 	}
 }

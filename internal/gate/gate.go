@@ -387,7 +387,7 @@ func (g *Gate) forward(r *http.Request, path string, body []byte, candidates []s
 			g.backoff(i)
 		}
 		// The raw query string passes through untouched, so per-request
-		// knobs the backends own (?policy=, ?engine=, ?trace=, ?cocheck=)
+		// knobs the backends own (?policy=, ?trace=, ?cocheck=)
 		// work identically through the gate.
 		url := base + path
 		if r.URL.RawQuery != "" {

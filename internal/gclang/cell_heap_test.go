@@ -24,7 +24,7 @@ func TestCellRoundTripProgramHeaps(t *testing.T) {
 				t.Fatal(err)
 			}
 			m := gclang.NewEnvMachine(d, c.Prog, 0)
-			if _, err := m.Run(2_000_000); err != nil {
+			if _, err := gclang.Run(m, 2_000_000); err != nil {
 				t.Fatal(err)
 			}
 			fresh := gclang.NewPools()

@@ -125,33 +125,6 @@ func NewEnvMachine(d Dialect, p Program, capacity int) *EnvMachine {
 	return m
 }
 
-// Run steps the machine until halt, an error, or the fuel limit.
-func (m *EnvMachine) Run(fuel int) (Value, error) {
-	for !m.Halted {
-		if fuel <= 0 {
-			return nil, ErrFuel
-		}
-		fuel--
-		if err := m.Step(); err != nil {
-			return nil, err
-		}
-	}
-	return m.Result, nil
-}
-
-// RunInt runs the machine and requires an integer result.
-func (m *EnvMachine) RunInt(fuel int) (int, error) {
-	v, err := m.Run(fuel)
-	if err != nil {
-		return 0, err
-	}
-	n, ok := v.(Num)
-	if !ok {
-		return 0, fmt.Errorf("gclang: halt with non-integer %s", v)
-	}
-	return n.N, nil
-}
-
 // PendingCall reports the code address about to be invoked when the control
 // term is a call whose head is (or is bound to) an address. It allocates
 // nothing; run loops use it to count collector entries.

@@ -144,7 +144,7 @@ func TestEnvMachineAgreesWithSubst(t *testing.T) {
 				// events) must also be identical.
 				rs, re := c.Recorder(), c.Recorder()
 				rs.Attach(sm)
-				re.AttachEnv(em)
+				re.Attach(em)
 				coStep(t, sm, em, 40_000_000)
 				tls, tle := rs.Timeline(), re.Timeline()
 				if !reflect.DeepEqual(tls, tle) {

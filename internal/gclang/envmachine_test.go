@@ -207,7 +207,7 @@ func TestEnvMachineOnlyReclaims(t *testing.T) {
 		Body: LetT{X: "p", Op: PutOp{R: RVar{Name: "r1"}, V: PairV{L: Num{N: 1}, R: Num{N: 2}}},
 			Body: OnlyT{Delta: []Region{RVar{Name: "r2"}}, Body: HaltT{V: Num{N: 0}}}}}}}
 	em := NewEnvMachine(Base, prog, 0)
-	if _, err := em.Run(100); err != nil {
+	if _, err := Run(em, 100); err != nil {
 		t.Fatal(err)
 	}
 	if em.Mem.Stats().RegionsReclaimed != 1 || em.Mem.Stats().CellsReclaimed != 1 {

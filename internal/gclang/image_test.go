@@ -15,7 +15,7 @@ func runEnvToHalt(t *testing.T, d gclang.Dialect, p gclang.Program) *gclang.EnvM
 	t.Helper()
 	m := gclang.NewEnvMachine(d, p, 0)
 	m.Mem.SetAutoGrow(true)
-	if _, err := m.Run(2_000_000); err != nil {
+	if _, err := gclang.Run(m, 2_000_000); err != nil {
 		t.Fatal(err)
 	}
 	return m
@@ -76,7 +76,7 @@ func TestEnvImageCrossBackendResume(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := res.Run(2_000_000); err != nil {
+			if _, err := gclang.Run(res, 2_000_000); err != nil {
 				t.Fatal(err)
 			}
 			if res.Result.String() != ref.Result.String() {
@@ -144,7 +144,7 @@ func TestSubstImageRoundTrip(t *testing.T) {
 	}
 	ref := gclang.NewMachine(d, c.Prog, 0)
 	ref.Mem.SetAutoGrow(true)
-	if _, err := ref.Run(2_000_000); err != nil {
+	if _, err := gclang.Run(ref, 2_000_000); err != nil {
 		t.Fatal(err)
 	}
 	m := gclang.NewMachine(d, c.Prog, 0)
@@ -162,7 +162,7 @@ func TestSubstImageRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := res.Run(2_000_000); err != nil {
+	if _, err := gclang.Run(res, 2_000_000); err != nil {
 		t.Fatal(err)
 	}
 	if res.Result.String() != ref.Result.String() || res.Steps != ref.Steps || res.Mem.Stats() != ref.Mem.Stats() {

@@ -91,33 +91,6 @@ func NewMachine(d Dialect, p Program, capacity int) *Machine {
 	return m
 }
 
-// Run steps the machine until halt, an error, or the fuel limit.
-func (m *Machine) Run(fuel int) (Value, error) {
-	for !m.Halted {
-		if fuel <= 0 {
-			return nil, ErrFuel
-		}
-		fuel--
-		if err := m.Step(); err != nil {
-			return nil, err
-		}
-	}
-	return m.Result, nil
-}
-
-// RunInt runs the machine and requires an integer result.
-func (m *Machine) RunInt(fuel int) (int, error) {
-	v, err := m.Run(fuel)
-	if err != nil {
-		return 0, err
-	}
-	n, ok := v.(Num)
-	if !ok {
-		return 0, fmt.Errorf("gclang: halt with non-integer %s", v)
-	}
-	return n.N, nil
-}
-
 func stuck(e Term, format string, args ...any) error {
 	return fmt.Errorf("%w: %s: in %s", ErrStuck, fmt.Sprintf(format, args...), e)
 }

@@ -14,7 +14,7 @@ import (
 func runRaw(t *testing.T, d Dialect, main Term) error {
 	t.Helper()
 	m := NewMachine(d, Program{Main: main}, 0)
-	_, err := m.Run(1000)
+	_, err := Run(m, 1000)
 	return err
 }
 
@@ -71,14 +71,14 @@ func TestMachineFuel(t *testing.T) {
 	p := Program{Code: []NamedFun{{Name: "loop", Fun: loop}},
 		Main: LetRegionT{R: "r", Body: AppT{Fn: CodeAddr(0), Rs: []Region{RVar{Name: "r"}}, Args: []Value{Num{N: 0}}}}}
 	m := NewMachine(Base, p, 0)
-	if _, err := m.Run(500); !errors.Is(err, ErrFuel) {
+	if _, err := Run(m, 500); !errors.Is(err, ErrFuel) {
 		t.Errorf("want ErrFuel, got %v", err)
 	}
 }
 
 func TestStepAfterHalt(t *testing.T) {
 	m := NewMachine(Base, Program{Main: HaltT{V: Num{N: 3}}}, 0)
-	if _, err := m.Run(10); err != nil {
+	if _, err := Run(m, 10); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.Step(); err == nil {
@@ -93,7 +93,7 @@ func TestGhostRequiresElaboration(t *testing.T) {
 		Body: LetT{X: "x", Op: PutOp{R: RVar{Name: "r"}, V: Num{N: 1}},
 			Body: HaltT{V: Num{N: 0}}}}}, 0)
 	m.Ghost = true
-	_, err := m.Run(100)
+	_, err := Run(m, 100)
 	if err == nil {
 		t.Errorf("ghost mode accepted an unelaborated put")
 	}

@@ -208,7 +208,7 @@ type Recorder struct {
 	tl       Timeline
 	curIdx   int // open span index into tl.Collections, -1 if none
 	lastStep int
-	steps    func() int // true machine step count (events skip unclassified steps)
+	m        gclang.Stepper // attached machine: its step count is the true one (events skip unclassified steps)
 	regs     map[regions.Name]*regCount
 	dropped  int
 }
@@ -232,27 +232,21 @@ func NewRecorder(entries map[regions.Addr]string, collectorFuns int) *Recorder {
 	}
 }
 
-// Attach wires the recorder into the substitution machine's Event hook,
-// chaining any hook already installed.
-func (r *Recorder) Attach(m *gclang.Machine) {
-	prev := m.Event
-	r.steps = func() int { return m.Steps }
-	m.Event = func(ev gclang.StepEvent) {
-		r.ObserveEvent(m.Mem, ev)
-		if prev != nil {
-			prev(ev)
-		}
-	}
+// Attach wires the recorder into a machine's Event hook, chaining any hook
+// already installed. Both machines emit identical event streams, so
+// classification is engine-independent.
+func (r *Recorder) Attach(m gclang.Stepper) {
+	r.m = m
+	chainHook(m, r.ObserveEvent)
 }
 
-// AttachEnv wires the recorder into the environment machine's Event hook,
-// chaining any hook already installed. Both machines emit identical event
-// streams, so classification is engine-independent.
-func (r *Recorder) AttachEnv(m *gclang.EnvMachine) {
-	prev := m.Event
-	r.steps = func() int { return m.Steps }
-	m.Event = func(ev gclang.StepEvent) {
-		r.ObserveEvent(m.Mem, ev)
+// chainHook installs observe on m's Event hook, ahead of any hook already
+// installed.
+func chainHook(m gclang.Stepper, observe func(MemView, gclang.StepEvent)) {
+	hook := m.EventHook()
+	prev := *hook
+	*hook = func(ev gclang.StepEvent) {
+		observe(m.Memory(), ev)
 		if prev != nil {
 			prev(ev)
 		}
@@ -265,8 +259,8 @@ func (r *Recorder) AttachEnv(m *gclang.EnvMachine) {
 // unclassified transitions, so the attached machine is consulted directly.
 func (r *Recorder) Timeline() *Timeline {
 	last := r.lastStep
-	if r.steps != nil {
-		if s := r.steps(); s > last {
+	if r.m != nil {
+		if s := r.m.StepCount(); s > last {
 			last = s
 		}
 	}
@@ -311,7 +305,7 @@ func (r *Recorder) closeSpan(end int) {
 
 // ObserveEvent classifies one machine step event. mem is the memory with
 // the step's effects already applied (the region-free diff at only needs
-// it). It is engine-agnostic — Attach and AttachEnv both feed it — and
+// it). It is engine-agnostic — Attach feeds it from either machine — and
 // exported so co-stepping tests can drive it directly. Unlike the event
 // hook itself, the Recorder may allocate (event log, region table): full
 // timelines are the opt-in deep view; always-on profiling uses the

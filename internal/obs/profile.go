@@ -1,12 +1,12 @@
 package obs
 
 import (
-	"container/list"
 	"sort"
 	"sync"
 
 	"psgc/internal/gclang"
 	"psgc/internal/regions"
+	"psgc/internal/slru"
 )
 
 // This file is the always-on half of the observability layer: a Profiler
@@ -107,8 +107,7 @@ type regionBirth struct {
 type Profiler struct {
 	entries       map[regions.Addr]string
 	collectorFuns int
-	steps         func() int
-	memf          func() MemView
+	m             gclang.Stepper // the attached machine
 
 	rp RunProfile
 
@@ -139,32 +138,11 @@ func NewProfiler(entries map[regions.Addr]string, collectorFuns int) *Profiler {
 	}
 }
 
-// Attach wires the profiler into the substitution machine's Event hook,
-// chaining any hook already installed.
-func (p *Profiler) Attach(m *gclang.Machine) {
-	prev := m.Event
-	p.steps = func() int { return m.Steps }
-	p.memf = func() MemView { return m.Mem }
-	m.Event = func(ev gclang.StepEvent) {
-		p.ObserveEvent(m.Mem, ev)
-		if prev != nil {
-			prev(ev)
-		}
-	}
-}
-
-// AttachEnv wires the profiler into the environment machine's Event hook,
-// chaining any hook already installed.
-func (p *Profiler) AttachEnv(m *gclang.EnvMachine) {
-	prev := m.Event
-	p.steps = func() int { return m.Steps }
-	p.memf = func() MemView { return m.Mem }
-	m.Event = func(ev gclang.StepEvent) {
-		p.ObserveEvent(m.Mem, ev)
-		if prev != nil {
-			prev(ev)
-		}
-	}
+// Attach wires the profiler into a machine's Event hook, chaining any hook
+// already installed.
+func (p *Profiler) Attach(m gclang.Stepper) {
+	p.m = m
+	chainHook(m, p.ObserveEvent)
 }
 
 // ObserveEvent folds one machine step event into the profile. It allocates
@@ -279,11 +257,9 @@ func (p *Profiler) closeSpan(mem MemView, end int) {
 // finalization may allocate (the samples slice).
 func (p *Profiler) Profile() RunProfile {
 	rp := p.rp
-	if p.steps != nil {
-		rp.Steps = p.steps()
-	}
-	if p.memf != nil {
-		mem := p.memf()
+	if p.m != nil {
+		rp.Steps = p.m.StepCount()
+		mem := p.m.Memory()
 		st := mem.Stats()
 		rp.MaxLive = st.MaxLiveCells
 		rp.CellsFreed = st.CellsReclaimed
@@ -389,24 +365,21 @@ type ProgramSummary struct {
 }
 
 type profileEntry struct {
-	hash      string
-	runs      int
-	aggs      map[string]*CollectorAgg
-	decision  any
-	protected bool
+	hash     string
+	runs     int
+	aggs     map[string]*CollectorAgg
+	decision any
 }
 
 // ProfileStore holds per-program profile aggregates keyed by source hash,
-// bounded by a segmented LRU exactly like the service's compiled-program
-// cache: admissions land in probation, a second touch promotes to the
-// protected segment (capped at 80%), and eviction drains the probation
-// tail first. It is safe for concurrent use.
+// bounded by the same segmented LRU (internal/slru) as the service's
+// compiled-program cache, each profile weighing 1: admissions land in
+// probation, a second touch promotes to the protected segment (capped at
+// 80%), and eviction drains the probation tail first. It is safe for
+// concurrent use.
 type ProfileStore struct {
 	mu        sync.Mutex
-	max       int
-	probation *list.List
-	protected *list.List
-	entries   map[string]*list.Element
+	lru       *slru.Cache[string, *profileEntry]
 	evictions int64
 }
 
@@ -419,41 +392,7 @@ func NewProfileStore(max int) *ProfileStore {
 	if max <= 0 {
 		max = DefaultProfileCapacity
 	}
-	return &ProfileStore{
-		max:       max,
-		probation: list.New(),
-		protected: list.New(),
-		entries:   make(map[string]*list.Element),
-	}
-}
-
-// touch promotes or refreshes el, mirroring the SLRU discipline of the
-// compiled-program cache. Caller holds the lock.
-func (s *ProfileStore) touch(el *list.Element) {
-	e := el.Value.(*profileEntry)
-	if e.protected {
-		s.protected.MoveToFront(el)
-		return
-	}
-	s.probation.Remove(el)
-	e.protected = true
-	s.entries[e.hash] = s.protected.PushFront(e)
-	pc := protectedCapOf(s.max)
-	for s.protected.Len() > 1 && s.protected.Len() > pc {
-		back := s.protected.Back()
-		d := back.Value.(*profileEntry)
-		s.protected.Remove(back)
-		d.protected = false
-		s.entries[d.hash] = s.probation.PushFront(d)
-	}
-}
-
-func protectedCapOf(budget int) int {
-	c := int(0.8 * float64(budget))
-	if c < 1 {
-		c = 1
-	}
-	return c
+	return &ProfileStore{lru: slru.New[string, *profileEntry](max, 0)}
 }
 
 // Update folds one run profile into the aggregate for (hash, collector),
@@ -462,32 +401,11 @@ func protectedCapOf(budget int) int {
 func (s *ProfileStore) Update(hash, collector string, rp RunProfile) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[hash]
+	e, ok := s.lru.Get(hash)
 	if !ok {
-		e := &profileEntry{hash: hash, aggs: make(map[string]*CollectorAgg, 3)}
-		el = s.probation.PushFront(e)
-		s.entries[hash] = el
-		for s.probation.Len()+s.protected.Len() > s.max {
-			victim := s.probation.Back()
-			if victim == el || victim == nil {
-				victim = s.protected.Back()
-			}
-			if victim == nil || victim == el {
-				break
-			}
-			d := victim.Value.(*profileEntry)
-			if d.protected {
-				s.protected.Remove(victim)
-			} else {
-				s.probation.Remove(victim)
-			}
-			delete(s.entries, d.hash)
-			s.evictions++
-		}
-	} else {
-		s.touch(el)
+		e = &profileEntry{hash: hash, aggs: make(map[string]*CollectorAgg, 3)}
+		s.evictions += int64(s.lru.Add(hash, e, 1))
 	}
-	e := el.Value.(*profileEntry)
 	e.runs++
 	agg, ok := e.aggs[collector]
 	if !ok {
@@ -503,8 +421,8 @@ func (s *ProfileStore) Update(hash, collector string, rp RunProfile) {
 func (s *ProfileStore) SetDecision(hash string, d any) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if el, ok := s.entries[hash]; ok {
-		el.Value.(*profileEntry).decision = d
+	if e, ok := s.lru.Peek(hash); ok {
+		e.decision = d
 	}
 }
 
@@ -525,12 +443,11 @@ func summarize(e *profileEntry) ProgramSummary {
 func (s *ProfileStore) Lookup(hash string) (ProgramSummary, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	el, ok := s.entries[hash]
+	e, ok := s.lru.Get(hash)
 	if !ok {
 		return ProgramSummary{}, false
 	}
-	s.touch(el)
-	return summarize(el.Value.(*profileEntry)), true
+	return summarize(e), true
 }
 
 // Snapshot returns up to topN summaries in recency order (protected
@@ -539,11 +456,13 @@ func (s *ProfileStore) Snapshot(topN int) []ProgramSummary {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	out := make([]ProgramSummary, 0, topN)
-	for _, l := range []*list.List{s.protected, s.probation} {
-		for el := l.Front(); el != nil && len(out) < topN; el = el.Next() {
-			out = append(out, summarize(el.Value.(*profileEntry)))
+	s.lru.Each(func(e *profileEntry) bool {
+		if len(out) == topN {
+			return false
 		}
-	}
+		out = append(out, summarize(e))
+		return true
+	})
 	return out
 }
 
@@ -551,7 +470,7 @@ func (s *ProfileStore) Snapshot(topN int) []ProgramSummary {
 func (s *ProfileStore) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.probation.Len() + s.protected.Len()
+	return s.lru.Len()
 }
 
 // Evictions reports the cumulative eviction count.
@@ -565,5 +484,6 @@ func (s *ProfileStore) Evictions() int64 {
 func (s *ProfileStore) Segments() (probation, protected int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.probation.Len(), s.protected.Len()
+	probation, protected, _ = s.lru.Segments()
+	return probation, protected
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"net/http"
 
-	"psgc"
 	"psgc/internal/obs"
 	"psgc/internal/policy"
 )
@@ -44,7 +43,7 @@ type BatchResponse struct {
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	s.metrics.BatchRequests.Add(1)
 	traceID := s.traceRequest(w, r)
-	if !s.requirePost(w, r) {
+	if !s.requirePost(w, r) || s.rejectRemovedQuery(w, r, traceID) {
 		return
 	}
 	var req BatchRequest
@@ -77,14 +76,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		}
 		col, err := parseCollector(item.Collector)
 		if err != nil {
-			results[i] = batchItemError(http.StatusBadRequest,
-				errorBody{Error: err.Error(), TraceID: itemID})
-			continue
-		}
-		if item.Engine == "" {
-			item.Engine = s.cfg.DefaultEngine
-		}
-		if _, err := psgc.ParseEngine(item.Engine); err != nil {
 			results[i] = batchItemError(http.StatusBadRequest,
 				errorBody{Error: err.Error(), TraceID: itemID})
 			continue

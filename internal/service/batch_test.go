@@ -18,7 +18,7 @@ func TestBatchRunsInOrder(t *testing.T) {
 		{CompileRequest: CompileRequest{Source: workload.AllocHeavySrc(10), Collector: "basic"}},
 		{CompileRequest: CompileRequest{Source: workload.AllocHeavySrc(20), Collector: "forwarding"}},
 		{CompileRequest: CompileRequest{Source: workload.AllocHeavySrc(30), Collector: "generational"}},
-		{CompileRequest: CompileRequest{Source: workload.AllocHeavySrc(15)}, Engine: "subst"},
+		{CompileRequest: CompileRequest{Source: workload.AllocHeavySrc(15)}, CoCheck: true},
 	}
 	resp, body := postJSON(t, ts.URL+"/batch", BatchRequest{Items: items})
 	if resp.StatusCode != http.StatusOK {
@@ -38,8 +38,9 @@ func TestBatchRunsInOrder(t *testing.T) {
 			t.Errorf("item %d: value %d, want %d", i, it.Run.Value, wants[i])
 		}
 	}
-	if br.Items[3].Run.Engine != "subst" {
-		t.Errorf("item 3 engine %q, want the requested subst", br.Items[3].Run.Engine)
+	if it := br.Items[3].Run; !it.CoChecked || it.Diverged || it.Engine != "env" {
+		t.Errorf("item 3 = cochecked %v diverged %v engine %q, want a clean co-checked env run",
+			it.CoChecked, it.Diverged, it.Engine)
 	}
 	if got := s.metrics.BatchRequests.Load(); got != 1 {
 		t.Errorf("batch request counter = %d, want 1", got)
@@ -50,7 +51,7 @@ func TestBatchRunsInOrder(t *testing.T) {
 }
 
 // TestBatchItemValidation checks per-item failures (bad collector, bad
-// engine, stream inside a batch) are isolated 400s while valid siblings
+// policy, stream inside a batch) are isolated 400s while valid siblings
 // still run.
 func TestBatchItemValidation(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 8})
@@ -59,7 +60,7 @@ func TestBatchItemValidation(t *testing.T) {
 		{CompileRequest: CompileRequest{Source: "1 + 2", Collector: "marksweep"}},
 		{CompileRequest: CompileRequest{Source: "1 + 2"}},
 		{CompileRequest: CompileRequest{Source: "1 + 2"}, Stream: true},
-		{CompileRequest: CompileRequest{Source: "1 + 2"}, Engine: "quantum"},
+		{CompileRequest: CompileRequest{Source: "1 + 2"}, Policy: "quantum"},
 	}
 	resp, body := postJSON(t, ts.URL+"/batch", BatchRequest{Items: items})
 	if resp.StatusCode != http.StatusOK {

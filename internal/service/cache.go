@@ -1,7 +1,6 @@
 package service
 
 import (
-	"container/list"
 	"crypto/sha256"
 	"encoding/hex"
 	"sync"
@@ -9,6 +8,7 @@ import (
 	"psgc"
 	"psgc/internal/gclang"
 	"psgc/internal/obs"
+	"psgc/internal/slru"
 )
 
 // cacheKey identifies a compiled program: the hash of its source text plus
@@ -29,96 +29,34 @@ func SourceHash(src string) string {
 	return hex.EncodeToString(h[:])
 }
 
-// compiledCache is a segmented LRU (SLRU) of ready-to-run compiled
-// programs. A *psgc.Compiled is immutable, so one entry may be handed to
-// any number of concurrent workers; the lock only guards the bookkeeping.
-//
-// Segmentation splits the cache into a probationary segment (where every
-// admission lands) and a protected segment (entries that were hit at least
-// once after admission). Eviction always drains the probationary tail
-// first, so a storm of one-shot programs — or an injected cache.evict
-// fault — can only flush probation: programs that have demonstrated reuse
-// stay resident. The protected segment is capped at protectedShare of each
-// budget; overflow demotes its LRU entries back to probation (most
-// recently used side), where they must earn another hit to return.
-//
-// Admission is size-aware, as before the upgrade: each entry is weighted
-// by the AST size of its elaborated λGC program (gclang.ProgramSize), and
-// eviction runs while the cache exceeds the entry-count cap or the total
-// weight budget. One huge program can therefore displace many small ones,
-// but never itself: the entry just admitted always stays, even when it
-// alone exceeds the budget.
+// compiledCache is a segmented LRU (internal/slru) of ready-to-run
+// compiled programs, each weighted by the AST size of its elaborated λGC
+// program (gclang.ProgramSize). A *psgc.Compiled is immutable, so one entry
+// may be handed to any number of concurrent workers; the lock only guards
+// the bookkeeping.
 type compiledCache struct {
-	mu        sync.Mutex
-	max       int // entry-count cap; 0 = unlimited
-	maxWeight int // total-weight budget; 0 = unlimited
-	weight    int // current total weight
-
-	// probation and protected are the two recency lists (front = most
-	// recently used); values are *cacheEntry. entries indexes both.
-	probation  *list.List
-	protected  *list.List
-	protWeight int
-	entries    map[cacheKey]*list.Element
+	mu  sync.Mutex
+	lru *slru.Cache[cacheKey, cached]
 }
 
-// protectedShare is the fraction of each budget (entries and weight) the
-// protected segment may hold — the classic SLRU ~80/20 split.
-const protectedShare = 0.8
-
-type cacheEntry struct {
-	key      cacheKey
+type cached struct {
 	compiled *psgc.Compiled
-	weight   int
 	// pipeline holds the phase spans of the compile that produced the
 	// entry, so traced cache hits can still report what the compile cost.
 	pipeline []obs.PhaseSpan
-	// protected marks which segment the entry lives in.
-	protected bool
 }
 
 func newCompiledCache(max, maxWeight int) *compiledCache {
-	return &compiledCache{
-		max:       max,
-		maxWeight: maxWeight,
-		probation: list.New(),
-		protected: list.New(),
-		entries:   make(map[cacheKey]*list.Element),
-	}
+	return &compiledCache{lru: slru.New[cacheKey, cached](max, maxWeight)}
 }
 
-func protectedCap(budget int) int {
-	if budget <= 0 {
-		return 0 // unlimited, like the budget itself
-	}
-	c := int(protectedShare * float64(budget))
-	if c < 1 {
-		c = 1
-	}
-	return c
-}
-
-// get returns the cached program and its compile spans for the key. A hit
-// in probation promotes the entry to the protected segment; a protected
-// hit refreshes its recency.
+// get returns the cached program and its compile spans for the key,
+// promoting a probationary hit to the protected segment.
 func (c *compiledCache) get(k cacheKey) (*psgc.Compiled, []obs.PhaseSpan, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		return nil, nil, false
-	}
-	e := el.Value.(*cacheEntry)
-	if e.protected {
-		c.protected.MoveToFront(el)
-	} else {
-		c.probation.Remove(el)
-		e.protected = true
-		c.entries[k] = c.protected.PushFront(e)
-		c.protWeight += e.weight
-		c.demoteOverflow()
-	}
-	return e.compiled, e.pipeline, true
+	e, ok := c.lru.Get(k)
+	return e.compiled, e.pipeline, ok
 }
 
 // peek returns the cached program for the key without touching recency or
@@ -127,123 +65,40 @@ func (c *compiledCache) get(k cacheKey) (*psgc.Compiled, []obs.PhaseSpan, bool) 
 func (c *compiledCache) peek(k cacheKey) (*psgc.Compiled, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.entries[k]
-	if !ok {
-		return nil, false
-	}
-	return el.Value.(*cacheEntry).compiled, true
+	e, ok := c.lru.Peek(k)
+	return e.compiled, ok
 }
 
-// demoteOverflow moves protected LRU entries back to probation (MRU side)
-// while the protected segment is over its share of the caps. A lone
-// protected entry is never demoted: with nothing to make room for, the
-// churn would only strip its protection.
-func (c *compiledCache) demoteOverflow() {
-	overCap := func() bool {
-		if pc := protectedCap(c.max); pc > 0 && c.protected.Len() > pc {
-			return true
-		}
-		if pw := protectedCap(c.maxWeight); pw > 0 && c.protWeight > pw {
-			return true
-		}
-		return false
-	}
-	for c.protected.Len() > 1 && overCap() {
-		el := c.protected.Back()
-		c.protected.Remove(el)
-		e := el.Value.(*cacheEntry)
-		e.protected = false
-		c.protWeight -= e.weight
-		c.entries[e.key] = c.probation.PushFront(e)
-	}
-}
-
-// add inserts (or refreshes) an entry, evicting while the cache is over
-// the entry cap or the weight budget — probationary tail first, protected
-// tail only when probation holds nothing but the new entry. Returns the
-// number of evictions.
+// add inserts (or refreshes) an entry and returns the number of evictions.
 func (c *compiledCache) add(k cacheKey, compiled *psgc.Compiled, pipeline []obs.PhaseSpan) int {
 	w := gclang.ProgramSize(compiled.Prog)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.entries[k]; ok {
-		e := el.Value.(*cacheEntry)
-		c.weight += w - e.weight
-		if e.protected {
-			c.protWeight += w - e.weight
-			c.protected.MoveToFront(el)
-		} else {
-			c.probation.MoveToFront(el)
-		}
-		e.compiled = compiled
-		e.weight = w
-		e.pipeline = pipeline
-		c.demoteOverflow()
-		return 0
-	}
-	newEl := c.probation.PushFront(&cacheEntry{key: k, compiled: compiled, weight: w, pipeline: pipeline})
-	c.entries[k] = newEl
-	c.weight += w
-	evicted := 0
-	for c.size() > 1 &&
-		((c.max > 0 && c.size() > c.max) || (c.maxWeight > 0 && c.weight > c.maxWeight)) {
-		victim := c.probation.Back()
-		if victim == newEl {
-			// Probation holds only the fresh admission; spill from the
-			// protected tail instead of evicting what we just added.
-			victim = c.protected.Back()
-		}
-		if victim == nil {
-			break
-		}
-		c.evict(victim)
-		evicted++
-	}
-	return evicted
-}
-
-// evict removes one element from whichever segment holds it.
-func (c *compiledCache) evict(el *list.Element) {
-	e := el.Value.(*cacheEntry)
-	if e.protected {
-		c.protected.Remove(el)
-		c.protWeight -= e.weight
-	} else {
-		c.probation.Remove(el)
-	}
-	delete(c.entries, e.key)
-	c.weight -= e.weight
+	return c.lru.Add(k, cached{compiled: compiled, pipeline: pipeline}, w)
 }
 
 // storm flushes the entire probationary segment — the cache.evict fault:
 // a scan flood arrives and every entry without demonstrated reuse goes.
-// Protected entries survive, which is the property the SLRU upgrade buys.
-// Returns the number of evictions.
+// Protected entries survive, which is the property the SLRU buys. Returns
+// the number of evictions.
 func (c *compiledCache) storm() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	evicted := 0
-	for c.probation.Len() > 0 {
-		c.evict(c.probation.Back())
-		evicted++
-	}
-	return evicted
+	return c.lru.FlushProbation()
 }
-
-func (c *compiledCache) size() int { return c.probation.Len() + c.protected.Len() }
 
 // len reports the number of cached programs.
 func (c *compiledCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.size()
+	return c.lru.Len()
 }
 
 // totalWeight reports the summed ProgramSize weight of the cached programs.
 func (c *compiledCache) totalWeight() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.weight
+	return c.lru.Weight()
 }
 
 // segments reports (probation entries, protected entries, protected
@@ -251,56 +106,16 @@ func (c *compiledCache) totalWeight() int {
 func (c *compiledCache) segments() (probation, protected, protWeight int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.probation.Len(), c.protected.Len(), c.protWeight
+	return c.lru.Segments()
 }
 
-// coherent re-derives the cached invariants from scratch and reports the
-// first violation, for the chaos suite: the index must cover exactly the
-// two lists, the weights must re-add, and every entry's segment flag must
-// match the list it is on.
+// coherent re-derives the SLRU invariants from scratch and reports the
+// first violation, for the chaos suite.
 func (c *compiledCache) coherent() error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	seen := 0
-	weight, protWeight := 0, 0
-	for el := c.probation.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if e.protected {
-			return errCoherence("probation entry flagged protected")
-		}
-		if c.entries[e.key] != el {
-			return errCoherence("probation entry not indexed")
-		}
-		weight += e.weight
-		seen++
-	}
-	for el := c.protected.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		if !e.protected {
-			return errCoherence("protected entry flagged probationary")
-		}
-		if c.entries[e.key] != el {
-			return errCoherence("protected entry not indexed")
-		}
-		weight += e.weight
-		protWeight += e.weight
-		seen++
-	}
-	if seen != len(c.entries) {
-		return errCoherence("index size disagrees with the segments")
-	}
-	if weight != c.weight {
-		return errCoherence("total weight out of sync")
-	}
-	if protWeight != c.protWeight {
-		return errCoherence("protected weight out of sync")
-	}
-	return nil
+	return c.lru.Check()
 }
-
-type errCoherence string
-
-func (e errCoherence) Error() string { return "cache incoherent: " + string(e) }
 
 // flightGroup coalesces concurrent compiles of the same key (singleflight):
 // when two requests miss the cache on one (source hash, collector) at the

@@ -125,17 +125,18 @@ func TestPeerFetchOnMiss(t *testing.T) {
 	}
 }
 
-// TestHealthzReportsEngineAndBuild pins the satellite fix: /healthz must
-// say what engine runs by default and which build is serving.
+// TestHealthzReportsEngineAndBuild pins what /healthz says about the
+// serving build, and that it no longer reports an engine default: there is
+// no engine to choose.
 func TestHealthzReportsEngineAndBuild(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, DefaultEngine: "subst"})
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
 	resp, body := getJSON(t, ts.URL+"/healthz")
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("healthz: status %d", resp.StatusCode)
 	}
 	h := decode[map[string]any](t, body)
-	if h["default_engine"] != "subst" {
-		t.Errorf("default_engine = %v, want subst", h["default_engine"])
+	if v, ok := h["default_engine"]; ok {
+		t.Errorf("default_engine = %v, want no engine default", v)
 	}
 	build, ok := h["build"].(map[string]any)
 	if !ok || build["go"] == "" {
@@ -143,26 +144,23 @@ func TestHealthzReportsEngineAndBuild(t *testing.T) {
 	}
 }
 
-// TestDefaultEngineAppliesToRuns checks the configured default engine is
-// used when a request names none, and the query override still wins.
-func TestDefaultEngineAppliesToRuns(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4, DefaultEngine: "subst"})
-	resp, body := postJSON(t, ts.URL+"/run", RunRequest{
-		CompileRequest: CompileRequest{Source: "1 + 2"},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("run: status %d: %s", resp.StatusCode, body)
-	}
-	if rr := decode[RunResponse](t, body); rr.Engine != "subst" {
-		t.Errorf("engine %q, want the configured default subst", rr.Engine)
-	}
-	resp, body = postJSON(t, ts.URL+"/run?engine=env", RunRequest{
-		CompileRequest: CompileRequest{Source: "1 + 2"},
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("run with override: status %d: %s", resp.StatusCode, body)
-	}
-	if rr := decode[RunResponse](t, body); rr.Engine != "env" {
-		t.Errorf("engine %q, want the env override", rr.Engine)
+// TestRunsReportEnvEngine checks that runs are served by the environment
+// machine, plain or co-checked, and say so in the response.
+func TestRunsReportEnvEngine(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
+	for _, path := range []string{"/run", "/run?cocheck=1"} {
+		resp, body := postJSON(t, ts.URL+path, RunRequest{
+			CompileRequest: CompileRequest{Source: "1 + 2"},
+		})
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", path, resp.StatusCode, body)
+		}
+		rr := decode[RunResponse](t, body)
+		if rr.Value != 3 || rr.Engine != "env" || rr.Diverged {
+			t.Errorf("%s: value %d engine %q diverged %v, want 3 on env", path, rr.Value, rr.Engine, rr.Diverged)
+		}
+		if want := path != "/run"; rr.CoChecked != want {
+			t.Errorf("%s: cochecked %v, want %v", path, rr.CoChecked, want)
+		}
 	}
 }

@@ -72,8 +72,8 @@ type Config struct {
 	DefaultFuel int
 	// StepsPerMilli converts a request deadline into a fuel budget
 	// (default 25000 machine steps per millisecond — sized to the slower
-	// substitution engine, so deadlines stay conservative for requests
-	// that opt out of the default environment engine).
+	// substitution machine, so deadlines stay conservative for co-checked
+	// and breaker-pinned runs, which step the oracle).
 	StepsPerMilli int
 	// MaxBodyBytes bounds request bodies (default 1 MiB).
 	MaxBodyBytes int64
@@ -95,10 +95,6 @@ type Config struct {
 	// with 429 before plain runs are. 0 selects the default of 0.75;
 	// negative disables shedding.
 	ShedThreshold float64
-	// DefaultEngine is the engine /run uses when the request names none:
-	// "env" (the default) or "subst". Surfaced in /healthz so operators can
-	// tell what a node is defaulting to.
-	DefaultEngine string
 	// PeerFetchURL, when non-empty, is the fleet gate's peer-fetch endpoint
 	// (e.g. http://gate:8373/peer/compiled). On a local compiled-cache miss
 	// the server asks it for another node's compiled entry before paying the
@@ -170,9 +166,6 @@ func (c Config) withDefaults() Config {
 		c.ShedThreshold = 0.75
 	} else if c.ShedThreshold < 0 {
 		c.ShedThreshold = 0
-	}
-	if _, err := psgc.ParseEngine(c.DefaultEngine); err != nil {
-		c.DefaultEngine = psgc.EngineEnv.String()
 	}
 	if c.PeerTimeoutMs <= 0 {
 		c.PeerTimeoutMs = 2000
@@ -490,14 +483,11 @@ type RunRequest struct {
 	// ProgressSteps is the SSE progress cadence in machine steps
 	// (default 50000; progress is also emitted at every collection).
 	ProgressSteps int `json:"progress_steps"`
-	// Engine selects the execution engine: "env" (default) or "subst"
-	// (the substitution-stepping oracle). Equivalent to the ?engine=
-	// query parameter, which takes precedence.
-	Engine string `json:"engine"`
 	// CoCheck forces this run into the oracle co-check regardless of the
-	// server's sample rate (equivalent to ?cocheck=1). Only meaningful for
-	// the env engine; slower, but a divergence can never produce a wrong
-	// answer — the oracle's result is always the one returned.
+	// server's sample rate (equivalent to ?cocheck=1): the environment
+	// machine is stepped beside the substitution oracle. Slower, but a
+	// divergence can never produce a wrong answer — the oracle's result is
+	// always the one returned.
 	CoCheck bool `json:"cocheck"`
 	// Policy selects the run policy: "static" (the default — the
 	// request's collector and capacity are used as given) or "adaptive"
@@ -653,8 +643,10 @@ func (s *Server) decodeWithin(w http.ResponseWriter, r *http.Request, into any, 
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
 		msg := err.Error()
-		if strings.Contains(msg, `unknown field "backend"`) {
-			msg = errBackendRemoved
+		for _, sel := range removedSelectors {
+			if strings.Contains(msg, `unknown field "`+sel.name+`"`) {
+				msg = sel.msg
+			}
 		}
 		s.writeResponse(w, &response{status: http.StatusBadRequest,
 			body: errorBody{Error: "bad request body: " + msg, TraceID: traceID}})
@@ -663,21 +655,28 @@ func (s *Server) decodeWithin(w http.ResponseWriter, r *http.Request, into any, 
 	return true
 }
 
-// errBackendRemoved answers a request that still names a memory backend,
-// in a JSON "backend" field or a ?backend= query: every run uses the one
-// region store, so a request naming a backend is refused rather than
-// silently served on a store it did not ask for.
-const errBackendRemoved = "backend selection was removed: every run uses the one region store"
+// removedSelectors are the request knobs that no longer exist, each with
+// the 400 message a request still naming it gets — in a JSON field (the
+// strict decoder's unknown-field error) or a query parameter. A request
+// naming one is refused rather than silently served on a store or machine
+// it did not ask for.
+var removedSelectors = []struct{ name, msg string }{
+	{"backend", "backend selection was removed: every run uses the one region store"},
+	{"engine", "engine selection was removed: runs use the environment machine, checked against the substitution oracle when co-checked"},
+}
 
-// rejectBackendQuery answers 400 to a non-empty ?backend= and reports
-// whether it did.
-func (s *Server) rejectBackendQuery(w http.ResponseWriter, r *http.Request, traceID string) bool {
-	if r.URL.Query().Get("backend") == "" {
-		return false
+// rejectRemovedQuery answers 400 to a non-empty query parameter naming a
+// removed selector and reports whether it did.
+func (s *Server) rejectRemovedQuery(w http.ResponseWriter, r *http.Request, traceID string) bool {
+	q := r.URL.Query()
+	for _, sel := range removedSelectors {
+		if q.Get(sel.name) != "" {
+			s.writeResponse(w, &response{status: http.StatusBadRequest,
+				body: errorBody{Error: sel.msg, TraceID: traceID}})
+			return true
+		}
 	}
-	s.writeResponse(w, &response{status: http.StatusBadRequest,
-		body: errorBody{Error: errBackendRemoved, TraceID: traceID}})
-	return true
+	return false
 }
 
 func (s *Server) requirePost(w http.ResponseWriter, r *http.Request) bool {
@@ -800,7 +799,7 @@ func (s *Server) handleCompile(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	s.metrics.RunRequests.Add(1)
 	traceID := s.traceRequest(w, r)
-	if !s.requirePost(w, r) || s.rejectBackendQuery(w, r, traceID) {
+	if !s.requirePost(w, r) || s.rejectRemovedQuery(w, r, traceID) {
 		return
 	}
 	var req RunRequest
@@ -809,17 +808,6 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	col, err := parseCollector(req.Collector)
 	if err != nil {
-		s.writeResponse(w, &response{status: http.StatusBadRequest,
-			body: errorBody{Error: err.Error(), TraceID: traceID}})
-		return
-	}
-	if v := r.URL.Query().Get("engine"); v != "" {
-		req.Engine = v
-	}
-	if req.Engine == "" {
-		req.Engine = s.cfg.DefaultEngine
-	}
-	if _, err := psgc.ParseEngine(req.Engine); err != nil {
 		s.writeResponse(w, &response{status: http.StatusBadRequest,
 			body: errorBody{Error: err.Error(), TraceID: traceID}})
 		return
@@ -857,6 +845,22 @@ func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
+// coCheck puts a run under the oracle co-check. On a divergence the
+// oracle finishes the run, so *engine becomes subst and *diverged true,
+// and the program's breaker trips.
+func (s *Server) coCheck(opts *psgc.RunOptions, hash string, col psgc.Collector, traceID string, engine *psgc.Engine, diverged *bool) {
+	opts.CoCheck = true
+	s.metrics.CoCheckRuns.Add(1)
+	opts.OnDivergence = func(d psgc.Divergence) {
+		*diverged = true
+		*engine = psgc.EngineSubst
+		s.metrics.CoCheckDivergences.Add(1)
+		if s.guard.trip(hash, col.String(), traceID, d) {
+			s.metrics.BreakersOpen.Add(1)
+		}
+	}
+}
+
 // overloaded reports whether queue utilization has reached the shed
 // threshold (the service's degradation mode).
 func (s *Server) overloaded() bool {
@@ -874,10 +878,6 @@ func (s *Server) overloaded() bool {
 // then answers with a CheckpointedResponse instead of a result.
 func (s *Server) doRun(req RunRequest, col psgc.Collector, trace bool, traceID string, progress func(psgc.Progress) bool, cp *psgc.Checkpointer) *response {
 	// Validated in handleRun; re-parsed here so doRun stands alone.
-	engine, err := psgc.ParseEngine(req.Engine)
-	if err != nil {
-		return &response{status: http.StatusBadRequest, body: errorBody{Error: err.Error(), TraceID: traceID}}
-	}
 	polName, err := policy.Parse(req.Policy)
 	if err != nil {
 		return &response{status: http.StatusBadRequest, body: errorBody{Error: err.Error(), TraceID: traceID}}
@@ -923,24 +923,14 @@ func (s *Server) doRun(req RunRequest, col psgc.Collector, trace bool, traceID s
 			TraceID:    traceID,
 		},
 	}
+	engine := psgc.EngineEnv
 	diverged := false
-	if engine == psgc.EngineEnv {
-		if s.guard.breakerOpen(hash) {
-			// This program diverged on a co-checked run before: pin it to
-			// the oracle. The response's engine field reports the truth.
-			engine = psgc.EngineSubst
-		} else if req.CoCheck || s.guard.shouldCoCheck() {
-			opts.CoCheck = true
-			s.metrics.CoCheckRuns.Add(1)
-			opts.OnDivergence = func(d psgc.Divergence) {
-				diverged = true
-				engine = psgc.EngineSubst // the oracle finishes the run
-				s.metrics.CoCheckDivergences.Add(1)
-				if s.guard.trip(hash, col.String(), traceID, d) {
-					s.metrics.BreakersOpen.Add(1)
-				}
-			}
-		}
+	if s.guard.breakerOpen(hash) {
+		// This program diverged on a co-checked run before: pin it to the
+		// oracle. The response's engine field reports the truth.
+		engine = psgc.EngineSubst
+	} else if req.CoCheck || s.guard.shouldCoCheck() {
+		s.coCheck(&opts, hash, col, traceID, &engine, &diverged)
 	}
 	opts.Engine = engine
 	opts.Fuel = s.fuelBudget(req.Fuel, req.DeadlineMs)
@@ -959,28 +949,7 @@ func (s *Server) doRun(req RunRequest, col psgc.Collector, trace bool, traceID s
 	if req.ProgressSteps > 0 {
 		opts.ProgressEvery = req.ProgressSteps
 	}
-	// The watchdog rides the Progress callback: the machine is cut at the
-	// first tick past the wall-clock budget and the run is answered as a
-	// budgeted partial result instead of a hung worker.
-	stalled := false
-	if s.cfg.WatchdogMs > 0 {
-		deadline := time.Now().Add(time.Duration(s.cfg.WatchdogMs) * time.Millisecond)
-		if opts.ProgressEvery == 0 {
-			opts.ProgressEvery = watchdogProgressEvery
-		}
-		inner := progress
-		progress = func(p psgc.Progress) bool {
-			if time.Now().After(deadline) {
-				stalled = true
-				return false
-			}
-			if inner != nil {
-				return inner(p)
-			}
-			return true
-		}
-	}
-	opts.Progress = progress
+	stalled := s.watch(&opts, progress)
 	var report *TraceReport
 	t0 := time.Now()
 	res, err := c.Run(opts)
@@ -992,46 +961,7 @@ func (s *Server) doRun(req RunRequest, col psgc.Collector, trace bool, traceID s
 		report = &TraceReport{Pipeline: spans, Timeline: rec.Timeline()}
 	}
 	if err != nil {
-		if errors.Is(err, psgc.ErrOutOfFuel) {
-			// The deadline (as a fuel budget) expired: report the
-			// partial execution so the client can see how far it got.
-			s.metrics.Deadlines.Add(1)
-			partial := statsOf(res)
-			return &response{status: http.StatusGatewayTimeout,
-				body: errorBody{Error: err.Error(), Partial: &partial, TraceID: traceID, Trace: report}}
-		}
-		if errors.Is(err, psgc.ErrCanceled) {
-			partial := statsOf(res)
-			if stalled {
-				s.metrics.WatchdogStalls.Add(1)
-				s.guard.incidents.Record(obs.Incident{
-					Kind: "watchdog_stall", TraceID: traceID, Subject: hash,
-					Detail: fmt.Sprintf("cut after %d steps at the %dms budget", res.Steps, s.cfg.WatchdogMs),
-				})
-				return &response{status: http.StatusGatewayTimeout,
-					body: errorBody{Error: fmt.Sprintf("watchdog: run stalled past %dms; partial result attached", s.cfg.WatchdogMs),
-						Partial: &partial, TraceID: traceID, Trace: report}}
-			}
-			// The streaming client went away mid-run; nobody is left to
-			// read this, but classify it as a client-side termination.
-			s.metrics.Canceled.Add(1)
-			return &response{status: statusClientClosedRequest,
-				body: errorBody{Error: err.Error(), Partial: &partial, TraceID: traceID}}
-		}
-		if errors.Is(err, psgc.ErrCheckpointed) {
-			// POST /snapshot paused this run at a step boundary; the
-			// checkpoint itself is delivered through the Checkpointer. The
-			// stream answers with a "checkpointed" event so relays know the
-			// run will continue elsewhere.
-			return &response{status: http.StatusOK, body: CheckpointedResponse{
-				Checkpointed: true,
-				SourceHash:   hash,
-				Steps:        res.Steps,
-				TraceID:      traceID,
-			}}
-		}
-		return &response{status: http.StatusInternalServerError,
-			body: errorBody{Error: err.Error(), TraceID: traceID}}
+		return s.stopped(err, res, *stalled, hash, traceID, "cut", report)
 	}
 	// Only completed runs feed the profile store: a partial profile from
 	// a fuel- or watchdog-killed run would skew the per-program aggregates
@@ -1060,6 +990,72 @@ func (s *Server) doRun(req RunRequest, col psgc.Collector, trace bool, traceID s
 		TraceID:    traceID,
 		Trace:      report,
 	}}
+}
+
+// watch installs progress as opts.Progress, wrapped by the watchdog when
+// one is configured: the machine is cut at the first tick past the
+// wall-clock budget and the run is answered as a budgeted partial result
+// instead of a hung worker. The returned flag reports whether it was cut.
+func (s *Server) watch(opts *psgc.RunOptions, progress func(psgc.Progress) bool) *bool {
+	stalled := new(bool)
+	if s.cfg.WatchdogMs > 0 {
+		deadline := time.Now().Add(time.Duration(s.cfg.WatchdogMs) * time.Millisecond)
+		if opts.ProgressEvery == 0 {
+			opts.ProgressEvery = watchdogProgressEvery
+		}
+		inner := progress
+		progress = func(p psgc.Progress) bool {
+			if time.Now().After(deadline) {
+				*stalled = true
+				return false
+			}
+			return inner == nil || inner(p)
+		}
+	}
+	opts.Progress = progress
+	return stalled
+}
+
+// stopped answers a run or resume that returned err. A spent fuel budget
+// (the deadline) or a watchdog cut is a 504 carrying the partial
+// statistics and, for a traced run, the trace so far; cut names the run in
+// the watchdog incident.
+func (s *Server) stopped(err error, res psgc.Result, stalled bool, hash, traceID, cut string, report *TraceReport) *response {
+	partial := statsOf(res)
+	switch {
+	case errors.Is(err, psgc.ErrOutOfFuel):
+		s.metrics.Deadlines.Add(1)
+		return &response{status: http.StatusGatewayTimeout,
+			body: errorBody{Error: err.Error(), Partial: &partial, TraceID: traceID, Trace: report}}
+	case errors.Is(err, psgc.ErrCanceled) && stalled:
+		s.metrics.WatchdogStalls.Add(1)
+		s.guard.incidents.Record(obs.Incident{
+			Kind: "watchdog_stall", TraceID: traceID, Subject: hash,
+			Detail: fmt.Sprintf("%s after %d steps at the %dms budget", cut, res.Steps, s.cfg.WatchdogMs),
+		})
+		return &response{status: http.StatusGatewayTimeout,
+			body: errorBody{Error: fmt.Sprintf("watchdog: run stalled past %dms; partial result attached", s.cfg.WatchdogMs),
+				Partial: &partial, TraceID: traceID, Trace: report}}
+	case errors.Is(err, psgc.ErrCanceled):
+		// The streaming client went away mid-run; nobody is left to read
+		// this, but classify it as a client-side termination.
+		s.metrics.Canceled.Add(1)
+		return &response{status: statusClientClosedRequest,
+			body: errorBody{Error: err.Error(), Partial: &partial, TraceID: traceID}}
+	case errors.Is(err, psgc.ErrCheckpointed):
+		// POST /snapshot paused the run at a step boundary; the checkpoint
+		// itself is delivered through the Checkpointer. The stream answers
+		// with a "checkpointed" event so relays know the run will continue
+		// elsewhere.
+		return &response{status: http.StatusOK, body: CheckpointedResponse{
+			Checkpointed: true,
+			SourceHash:   hash,
+			Steps:        res.Steps,
+			TraceID:      traceID,
+		}}
+	}
+	return &response{status: http.StatusInternalServerError,
+		body: errorBody{Error: err.Error(), TraceID: traceID}}
 }
 
 // watchdogProgressEvery is the Progress cadence a watchdog-enabled run
@@ -1214,11 +1210,6 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	probation, protected, _ := s.cache.segments()
 	body := map[string]any{
 		"status": status,
-		// What this node is running and defaulting to (PR 6): when a
-		// co-check incident pins a hash to subst, operators need to see at a
-		// glance what engine everything else still defaults to, and which
-		// build is serving.
-		"default_engine": s.cfg.DefaultEngine,
 		// The run policy this node defaults to (PR 8): ?policy= selects per
 		// request; the adaptive engine's decisions and the profile store
 		// feeding it are detailed under "policy" below.

@@ -242,15 +242,19 @@ func TestBadRequests(t *testing.T) {
 }
 
 // TestBackendSelection checks that a request still naming a memory
-// backend, in the body or in ?backend=, is refused with a 400 giving the
-// reason, never silently served on the one store.
+// backend or an engine, in the body or in the query, is refused with a 400
+// giving the reason, never silently served on the one store or machine.
 func TestBackendSelection(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 4})
-	for _, tc := range []struct{ path, body string }{
-		{"/run", `{"source": "1", "backend": "arena"}`},
-		{"/run?backend=map", `{"source": "1"}`},
-		{"/batch", `{"items": [{"source": "1", "backend": "map"}]}`},
-		{"/resume?backend=map", `{"blob": "AAAA"}`},
+	for _, tc := range []struct{ path, body, want string }{
+		{"/run", `{"source": "1", "backend": "arena"}`, "backend selection was removed"},
+		{"/run?backend=map", `{"source": "1"}`, "backend selection was removed"},
+		{"/batch", `{"items": [{"source": "1", "backend": "map"}]}`, "backend selection was removed"},
+		{"/resume?backend=map", `{"blob": "AAAA"}`, "backend selection was removed"},
+		{"/run", `{"source": "1", "engine": "subst"}`, "engine selection was removed"},
+		{"/run?engine=subst", `{"source": "1"}`, "engine selection was removed"},
+		{"/batch", `{"items": [{"source": "1", "engine": "subst"}]}`, "engine selection was removed"},
+		{"/resume?engine=subst", `{"blob": "AAAA"}`, "engine selection was removed"},
 	} {
 		resp, err := http.Post(ts.URL+tc.path, "application/json", strings.NewReader(tc.body))
 		if err != nil {
@@ -258,7 +262,7 @@ func TestBackendSelection(t *testing.T) {
 		}
 		body, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "backend selection was removed") {
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
 			t.Errorf("%s %s: status %d body %s, want 400 naming the removal", tc.path, tc.body, resp.StatusCode, body)
 		}
 	}

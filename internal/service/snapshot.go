@@ -15,7 +15,6 @@ package service
 // that could compute a wrong answer.
 
 import (
-	"errors"
 	"fmt"
 	"net/http"
 	"time"
@@ -176,7 +175,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // handleResume re-certifies a checkpoint blob and continues the run.
 func (s *Server) handleResume(w http.ResponseWriter, r *http.Request) {
 	reqTrace := s.traceRequest(w, r)
-	if !s.requirePost(w, r) || s.rejectBackendQuery(w, r, reqTrace) {
+	if !s.requirePost(w, r) || s.rejectRemovedQuery(w, r, reqTrace) {
 		return
 	}
 	var req ResumeRequest
@@ -279,16 +278,7 @@ func (s *Server) doResume(ck *psgc.Checkpoint, req ResumeRequest, traceID string
 		// program cannot be pinned to the oracle here — the image dictates
 		// the engine — so it is co-checked unconditionally instead.
 		if req.CoCheck || s.guard.breakerOpen(hash) || s.guard.shouldCoCheck() {
-			opts.CoCheck = true
-			s.metrics.CoCheckRuns.Add(1)
-			opts.OnDivergence = func(d psgc.Divergence) {
-				diverged = true
-				engine = psgc.EngineSubst // the oracle finishes the run
-				s.metrics.CoCheckDivergences.Add(1)
-				if s.guard.trip(hash, col.String(), traceID, d) {
-					s.metrics.BreakersOpen.Add(1)
-				}
-			}
+			s.coCheck(&opts, hash, col, traceID, &engine, &diverged)
 		}
 	}
 	// The profiler resumes from the checkpoint's aggregate (restored
@@ -298,25 +288,7 @@ func (s *Server) doResume(ck *psgc.Checkpoint, req ResumeRequest, traceID string
 	if req.ProgressSteps > 0 {
 		opts.ProgressEvery = req.ProgressSteps
 	}
-	stalled := false
-	if s.cfg.WatchdogMs > 0 {
-		deadline := time.Now().Add(time.Duration(s.cfg.WatchdogMs) * time.Millisecond)
-		if opts.ProgressEvery == 0 {
-			opts.ProgressEvery = watchdogProgressEvery
-		}
-		inner := progress
-		progress = func(p psgc.Progress) bool {
-			if time.Now().After(deadline) {
-				stalled = true
-				return false
-			}
-			if inner != nil {
-				return inner(p)
-			}
-			return true
-		}
-	}
-	opts.Progress = progress
+	stalled := s.watch(&opts, progress)
 	s.metrics.Resumes.Add(1)
 	t0 := time.Now()
 	res, err := ck.Resume(opts)
@@ -327,40 +299,8 @@ func (s *Server) doResume(ck *psgc.Checkpoint, req ResumeRequest, traceID string
 	s.metrics.MachineSteps[col].Add(int64(res.Steps - ck.Steps))
 	s.metrics.Collections[col].Add(int64(res.Collections - ck.Collections))
 	if err != nil {
-		if errors.Is(err, psgc.ErrOutOfFuel) {
-			s.metrics.Deadlines.Add(1)
-			partial := statsOf(res)
-			return &response{status: http.StatusGatewayTimeout,
-				body: errorBody{Error: err.Error(), Partial: &partial, TraceID: traceID}}
-		}
-		if errors.Is(err, psgc.ErrCanceled) {
-			partial := statsOf(res)
-			if stalled {
-				s.metrics.WatchdogStalls.Add(1)
-				s.guard.incidents.Record(obs.Incident{
-					Kind: "watchdog_stall", TraceID: traceID, Subject: hash,
-					Detail: fmt.Sprintf("resumed run cut after %d steps at the %dms budget", res.Steps, s.cfg.WatchdogMs),
-				})
-				return &response{status: http.StatusGatewayTimeout,
-					body: errorBody{Error: fmt.Sprintf("watchdog: run stalled past %dms; partial result attached", s.cfg.WatchdogMs),
-						Partial: &partial, TraceID: traceID}}
-			}
-			s.metrics.Canceled.Add(1)
-			return &response{status: statusClientClosedRequest,
-				body: errorBody{Error: err.Error(), Partial: &partial, TraceID: traceID}}
-		}
-		if errors.Is(err, psgc.ErrCheckpointed) {
-			// Re-migration: the resumed run was itself paused by a later
-			// POST /snapshot.
-			return &response{status: http.StatusOK, body: CheckpointedResponse{
-				Checkpointed: true,
-				SourceHash:   hash,
-				Steps:        res.Steps,
-				TraceID:      traceID,
-			}}
-		}
-		return &response{status: http.StatusInternalServerError,
-			body: errorBody{Error: err.Error(), TraceID: traceID}}
+		// A resumed run paused again by a later POST /snapshot re-migrates.
+		return s.stopped(err, res, *stalled, hash, traceID, "resumed run cut", nil)
 	}
 	s.adaptive.Observe(hash, col.String(), prof.Profile())
 	s.metrics.ProfiledRuns.Add(1)

@@ -73,7 +73,7 @@ func TestTranslateAllDialects(t *testing.T) {
 			t.Fatalf("%v: translated program does not typecheck: %v", d, err)
 		}
 		m := gclang.NewMachine(d, elab, 0)
-		n, err := m.RunInt(1_000_000)
+		n, err := gclang.RunInt(m, 1_000_000)
 		if err != nil {
 			t.Fatalf("%v: run: %v", d, err)
 		}

@@ -284,35 +284,23 @@ func (c CollectOnce) run(fuel int, env bool) (RunStats, error) {
 			}
 		}
 	}
-	var (
-		mem   regions.Store[gclang.Cell]
-		steps int
-		err   error
-	)
+	var m gclang.Stepper
+	if env {
+		m = gclang.NewEnvMachine(c.Dialect, c.Prog, 0)
+	} else {
+		m = gclang.NewMachine(c.Dialect, c.Prog, 0)
+	}
 	// Region sizes only grow on put steps, so sampling on StepPut events
 	// observes the same maximum the old per-step sampler did.
-	if env {
-		m := gclang.NewEnvMachine(c.Dialect, c.Prog, 0)
-		m.Event = func(ev gclang.StepEvent) {
-			if ev.Kind == gclang.StepPut {
-				sample(m.Mem)
-			}
+	*m.EventHook() = func(ev gclang.StepEvent) {
+		if ev.Kind == gclang.StepPut {
+			sample(m.Memory())
 		}
-		_, err = m.Run(fuel)
-		mem, steps = m.Mem, m.Steps
-	} else {
-		m := gclang.NewMachine(c.Dialect, c.Prog, 0)
-		m.Event = func(ev gclang.StepEvent) {
-			if ev.Kind == gclang.StepPut {
-				sample(m.Mem)
-			}
-		}
-		_, err = m.Run(fuel)
-		mem, steps = m.Mem, m.Steps
 	}
-	if err != nil {
+	if _, err := gclang.Run(m, fuel); err != nil {
 		return RunStats{}, err
 	}
+	mem, steps := m.Memory(), m.StepCount()
 	live := mem.LiveCells()
 	return RunStats{
 		Steps:      steps,

@@ -278,8 +278,9 @@ func (e Engine) String() string {
 	}
 }
 
-// ParseEngine parses an engine name: "env" (or empty) and "subst".
-func ParseEngine(s string) (Engine, error) {
+// parseEngine parses an engine name as Engine.String writes it ("" reads
+// as env).
+func parseEngine(s string) (Engine, error) {
 	switch s {
 	case "", "env":
 		return EngineEnv, nil
@@ -338,7 +339,9 @@ type RunOptions struct {
 	// (default DefaultProgressEvery).
 	ProgressEvery int
 	// Engine selects the abstract machine (default EngineEnv). Ghost and
-	// CheckEveryStep force EngineSubst regardless.
+	// CheckEveryStep force EngineSubst regardless. The service sets
+	// EngineSubst to pin a program that diverged under co-check to the
+	// oracle; a resume takes its engine from the checkpoint.
 	Engine Engine
 	// CoCheck steps the environment machine in lockstep with the
 	// substitution oracle, comparing pending collector calls, step counts,
@@ -492,6 +495,7 @@ func (c *Compiled) applyPolicy(opts *RunOptions) error {
 //
 // The engine is opts.Engine (environment machine by default); Ghost and
 // CheckEveryStep force the substitution machine, which carries the ghost Ψ.
+// Every run, whatever its engine, is stepped by the one loop in drive.
 func (c *Compiled) Run(opts RunOptions) (Result, error) {
 	if err := c.applyPolicy(&opts); err != nil {
 		return Result{}, err
@@ -502,6 +506,7 @@ func (c *Compiled) Run(opts RunOptions) (Result, error) {
 	if (opts.CheckpointEvery > 0 || opts.Checkpointer != nil) && (opts.Ghost || opts.CheckEveryStep) {
 		return Result{}, errors.New("psgc: checkpointing is not supported in ghost mode")
 	}
+	collections := 0
 	if ck := opts.ResumeFrom; ck != nil {
 		if ck.compiled != c {
 			return Result{}, errors.New("psgc: checkpoint belongs to a different compiled program (use Checkpoint.Resume)")
@@ -520,170 +525,165 @@ func (c *Compiled) Run(opts RunOptions) (Result, error) {
 		if opts.Fuel == 0 && ck.FuelRemaining > 0 {
 			opts.Fuel = ck.FuelRemaining
 		}
-	}
-	if opts.Engine == EngineSubst || opts.Ghost || opts.CheckEveryStep {
-		return c.runSubst(opts)
-	}
-	if opts.CoCheck {
-		return c.runCoChecked(opts)
-	}
-	return c.runEnv(opts)
-}
-
-func runBudgets(opts RunOptions) (fuel, every int) {
-	fuel = opts.Fuel
-	if fuel == 0 {
-		fuel = DefaultFuel
-	}
-	every = opts.ProgressEvery
-	if every <= 0 {
-		every = DefaultProgressEvery
-	}
-	return fuel, every
-}
-
-func (c *Compiled) runSubst(opts RunOptions) (Result, error) {
-	var m *gclang.Machine
-	collections := 0
-	if ck := opts.ResumeFrom; ck != nil {
-		var err error
-		m, err = gclang.RestoreMachine(c.Collector.Dialect(), c.Prog, ck.image)
-		if err != nil {
-			return Result{}, fmt.Errorf("psgc: resume: %w", err)
-		}
 		collections = ck.Collections
-	} else {
-		m = c.NewMachine(opts)
+	}
+	m, shadow, err := c.load(&opts)
+	if err != nil {
+		return Result{}, err
 	}
 	if opts.Recorder != nil {
 		opts.Recorder.Attach(m)
 	}
-	if err := restoreProfiler(&opts); err != nil {
-		return Result{}, err
-	}
 	if opts.Profiler != nil {
+		// A resumed run's profile continues from the checkpoint's aggregate,
+		// the reservoir sampler's exact state included.
+		if ck := opts.ResumeFrom; ck != nil && ck.profiler != nil {
+			if err := opts.Profiler.Restore(*ck.profiler); err != nil {
+				return Result{}, fmt.Errorf("psgc: resume profiler: %w", err)
+			}
+		}
 		opts.Profiler.Attach(m)
 	}
-	fuel, every := runBudgets(opts)
-	lastCk := m.Steps
-	for !m.Halted {
-		if opts.Checkpointer != nil && opts.Checkpointer.take() {
-			ck, err := c.captureSubst(m, &opts, collections, fuel)
-			if err != nil {
-				return Result{}, err
-			}
-			opts.Checkpointer.deliver(ck)
-			return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w at step %d", ErrCheckpointed, m.Steps)
+	return c.drive(m, shadow, collections, &opts)
+}
+
+// load builds the machines a run steps: the primary and, for a co-checked
+// env run only, an env shadow. The primary is authoritative: its result is
+// the one returned, and the Recorder, Profiler, Progress callbacks and
+// collection counting all observe it. A co-checked run's primary is the
+// substitution oracle; CoCheck is ignored when the run is already on the
+// substitution machine.
+func (c *Compiled) load(opts *RunOptions) (gclang.Stepper, *gclang.EnvMachine, error) {
+	d := c.Collector.Dialect()
+	subst := opts.Engine == EngineSubst || opts.Ghost || opts.CheckEveryStep
+	ck := opts.ResumeFrom
+	switch {
+	case ck != nil && subst:
+		m, err := gclang.RestoreMachine(d, c.Prog, ck.image)
+		if err != nil {
+			return nil, nil, fmt.Errorf("psgc: resume: %w", err)
 		}
-		if opts.CheckpointEvery > 0 && m.Steps != lastCk && m.Steps%opts.CheckpointEvery == 0 {
-			lastCk = m.Steps
-			ck, err := c.captureSubst(m, &opts, collections, fuel)
+		return m, nil, nil
+	case ck != nil:
+		env, err := gclang.RestoreEnvMachine(d, c.Prog, ck.image)
+		if err != nil {
+			return nil, nil, fmt.Errorf("psgc: resume: %w", err)
+		}
+		if !opts.CoCheck {
+			return env, nil, nil
+		}
+		// The oracle is rebuilt from the same image by folding its
+		// environment into the control term, so both machines start from
+		// the identical configuration and the per-step counter comparison
+		// stays exact across the checkpoint.
+		oracle, err := gclang.RestoreOracle(c.Prog, ck.image)
+		if err != nil {
+			return nil, nil, fmt.Errorf("psgc: resume oracle: %w", err)
+		}
+		return oracle, env, nil
+	case subst:
+		return c.NewMachine(*opts), nil, nil
+	case opts.CoCheck:
+		oracleOpts := *opts
+		oracleOpts.WrapStore = nil // a trace recorder watches the shadow, not the oracle
+		return c.NewMachine(oracleOpts), c.NewEnvMachine(*opts), nil
+	default:
+		return c.NewEnvMachine(*opts), nil, nil
+	}
+}
+
+// drive steps the primary machine m until it halts, runs out of fuel, or
+// a Progress callback or checkpoint stops it.
+//
+// A non-nil shadow is stepped in lockstep with the oracle m and compared
+// on the observables the differential test suite pins: the pending
+// collector call before each step, step counts, halt status and the full
+// regions.Stats counters after each step, and — at halt — the final value
+// and every heap cell. On the first disagreement (including an env-machine
+// step error, which injected faults can produce) the shadow is dropped,
+// opts.OnDivergence fires, and the run continues on the oracle alone, so
+// a diverging shadow can neither change the result nor pollute the
+// timeline.
+func (c *Compiled) drive(m gclang.Stepper, shadow *gclang.EnvMachine, collections int, opts *RunOptions) (Result, error) {
+	oracle, _ := m.(*gclang.Machine) // non-nil on every run that checks or co-checks
+	fuel, every := opts.Fuel, opts.ProgressEvery
+	if fuel == 0 {
+		fuel = DefaultFuel
+	}
+	if every <= 0 {
+		every = DefaultProgressEvery
+	}
+	steps := m.StepCount()
+	lastCk := steps
+	for !m.IsHalted() {
+		// An on-demand checkpoint always stops the run; a periodic one
+		// stops it only if OnCheckpoint says so.
+		demand := opts.Checkpointer != nil && opts.Checkpointer.take()
+		if demand || (opts.CheckpointEvery > 0 && steps != lastCk && steps%opts.CheckpointEvery == 0) {
+			lastCk = steps
+			ck, err := c.capture(m, shadow, opts, collections, fuel)
 			if err != nil {
 				return Result{}, err
 			}
-			if !opts.OnCheckpoint(ck) {
-				return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w at step %d", ErrCheckpointed, m.Steps)
+			if demand {
+				opts.Checkpointer.deliver(ck)
+			}
+			if demand || !opts.OnCheckpoint(ck) {
+				return partialResult(steps, collections, m.Memory()), fmt.Errorf("%w at step %d", ErrCheckpointed, steps)
 			}
 		}
 		if fuel <= 0 {
-			return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w after %d steps", ErrOutOfFuel, m.Steps)
+			return partialResult(steps, collections, m.Memory()), fmt.Errorf("%w after %d steps", ErrOutOfFuel, steps)
 		}
 		fuel--
 		// A term about to invoke a collector entry point is a collection.
-		collected := false
-		if a, ok := m.PendingCall(); ok && c.entries[a] {
+		a, pending := m.PendingCall()
+		collected := pending && c.entries[a]
+		if collected {
 			collections++
-			collected = true
+		}
+		if shadow != nil {
+			if sa, sPending := shadow.PendingCall(); sPending != pending || sa != a {
+				shadow = nil
+				opts.diverged(steps, fmt.Sprintf("pending call: oracle (%v,%v) env (%v,%v)", a, pending, sa, sPending))
+			}
 		}
 		if err := m.Step(); err != nil {
 			return Result{}, err
 		}
+		steps++ // a successful Step takes exactly one transition
 		if opts.CheckEveryStep {
-			if err := m.CheckState(); err != nil {
+			if err := oracle.CheckState(); err != nil {
 				return Result{}, err
 			}
 		}
-		if opts.Progress != nil && (collected || m.Steps%every == 0) {
+		if shadow != nil {
+			if detail := stepShadow(oracle, shadow); detail != "" {
+				shadow = nil
+				opts.diverged(steps, detail)
+			}
+		}
+		if opts.Progress != nil && (collected || steps%every == 0) {
 			ok := opts.Progress(Progress{
-				Steps:       m.Steps,
+				Steps:       steps,
 				Collections: collections,
-				LiveCells:   m.Mem.LiveCells(),
+				LiveCells:   m.Memory().LiveCells(),
 			})
 			if !ok {
-				return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w after %d steps", ErrCanceled, m.Steps)
+				return partialResult(steps, collections, m.Memory()), fmt.Errorf("%w after %d steps", ErrCanceled, steps)
 			}
 		}
 	}
-	return finishResult(m.Result, m.Steps, collections, m.Mem)
-}
-
-func (c *Compiled) runEnv(opts RunOptions) (Result, error) {
-	var m *gclang.EnvMachine
-	collections := 0
-	if ck := opts.ResumeFrom; ck != nil {
-		var err error
-		m, err = gclang.RestoreEnvMachine(c.Collector.Dialect(), c.Prog, ck.image)
-		if err != nil {
-			return Result{}, fmt.Errorf("psgc: resume: %w", err)
-		}
-		collections = ck.Collections
-	} else {
-		m = c.NewEnvMachine(opts)
-	}
-	if opts.Recorder != nil {
-		opts.Recorder.AttachEnv(m)
-	}
-	if err := restoreProfiler(&opts); err != nil {
-		return Result{}, err
-	}
-	if opts.Profiler != nil {
-		opts.Profiler.AttachEnv(m)
-	}
-	fuel, every := runBudgets(opts)
-	lastCk := m.Steps
-	for !m.Halted {
-		if opts.Checkpointer != nil && opts.Checkpointer.take() {
-			ck, err := c.captureEnv(m, &opts, collections, fuel)
-			if err != nil {
-				return Result{}, err
-			}
-			opts.Checkpointer.deliver(ck)
-			return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w at step %d", ErrCheckpointed, m.Steps)
-		}
-		if opts.CheckpointEvery > 0 && m.Steps != lastCk && m.Steps%opts.CheckpointEvery == 0 {
-			lastCk = m.Steps
-			ck, err := c.captureEnv(m, &opts, collections, fuel)
-			if err != nil {
-				return Result{}, err
-			}
-			if !opts.OnCheckpoint(ck) {
-				return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w at step %d", ErrCheckpointed, m.Steps)
-			}
-		}
-		if fuel <= 0 {
-			return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w after %d steps", ErrOutOfFuel, m.Steps)
-		}
-		fuel--
-		collected := false
-		if a, ok := m.PendingCall(); ok && c.entries[a] {
-			collections++
-			collected = true
-		}
-		if err := m.Step(); err != nil {
-			return Result{}, err
-		}
-		if opts.Progress != nil && (collected || m.Steps%every == 0) {
-			ok := opts.Progress(Progress{
-				Steps:       m.Steps,
-				Collections: collections,
-				LiveCells:   m.Mem.LiveCells(),
-			})
-			if !ok {
-				return partialResult(m.Steps, collections, m.Mem), fmt.Errorf("%w after %d steps", ErrCanceled, m.Steps)
-			}
+	// Snapshot the result before the heap walk: compareHalt reads cells
+	// through Mem.Get, which counts, and the reported Stats must match a
+	// plain run's.
+	res, err := finishResult(m.Outcome(), steps, collections, m.Memory())
+	if shadow != nil {
+		if detail := compareHalt(oracle, shadow); detail != "" {
+			opts.diverged(steps, detail)
 		}
 	}
-	return finishResult(m.Result, m.Steps, collections, m.Mem)
+	return res, err
 }
 
 func finishResult(v gclang.Value, steps, collections int, mem regions.Store[gclang.Cell]) (Result, error) {
